@@ -134,6 +134,10 @@ def validate_document(doc) -> str:
     return kind
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _pairs_to_map(pairs):
     m = {}
     for xy in pairs:
@@ -236,13 +240,16 @@ class LoadedInput:
             if not (isinstance(doc, list) and len(doc) == 3):
                 raise InputError(f"element must be [m, a, n], got {doc!r}")
             m, a, n = doc
+            if not (_is_int(m) and _is_int(n) and (_is_int(a) or isinstance(a, str))):
+                raise InputError(f"element must be [m, a, n] with integer m, n, got {doc!r}")
             if isinstance(a, str):
                 a = ctx.group.label_index(a)
             return ctx.element(m, a, n)
         if self.kind == "toeplitz":
             ctx = self.structure
-            if not (isinstance(doc, list) and len(doc) == 2):
-                raise InputError(f"element must be [s, t], got {doc!r}")
+            if not (isinstance(doc, list) and len(doc) == 2 and all(
+                    isinstance(v, list) and all(map(_is_int, v)) for v in doc)):
+                raise InputError(f"element must be [s, t] of integer lists, got {doc!r}")
             return ctx.element(tuple(doc[0]), tuple(doc[1]))
         return self._decode_shift(doc)
 
@@ -297,6 +304,9 @@ class LoadedInput:
     def decode_algebra(self, doc) -> AlgebraElement:
         ctx = self.context()
         if isinstance(doc, dict) and "terms" in doc:
+            if not (isinstance(doc["terms"], list) and all(
+                    isinstance(t, list) and len(t) == 2 for t in doc["terms"])):
+                raise InputError(f"'terms' must list [element, scalar] pairs, got {doc['terms']!r}")
             terms = [(self.decode_element(ed), scalar_from_json(sd)
                       if isinstance(sd, dict) else sd)
                      for ed, sd in doc["terms"]]

@@ -210,6 +210,9 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(d):
-    if isinstance(d, dict) and d.get("float"):
-        return complex(float(d["re"]), float(d["im"]))
-    return QQi(_as_fraction(d["re"]), _as_fraction(d.get("im", 0)))
+    try:
+        if isinstance(d, dict) and d.get("float"):
+            return complex(float(d["re"]), float(d["im"]))
+        return QQi(_as_fraction(d["re"]), _as_fraction(d.get("im", 0)))
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(f"bad scalar {d!r}: {exc}") from None

@@ -312,6 +312,14 @@ def test_example62_window5(capsys):
     assert report["epsilon_coefficient_exact"] is True
 
 
+def test_example62_above_two_thousand_points_is_byte_identical(capsys):
+    first = run(capsys, ["example62", "--window", "2100"])
+    second = run(capsys, ["example62", "--window", "2100"])
+    assert first[0] == 0
+    assert first[1] == second[1]
+    assert abs(json.loads(first[1])["min_eig"] - (1 - 2 * math.cos(math.pi / 2102))) < 1e-9
+
+
 def test_example62_large_window_approaches_minus_one(capsys):
     code, out, _ = run(capsys, ["example62", "--window", "200"])
     assert code == 0
@@ -357,6 +365,22 @@ def test_schema_violation_points_into_document(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "$.edges[0]" in err and "rng" in err
+
+
+def test_bruck_reilly_triple_with_string_index_is_input_error(capsys, tmp_path):
+    doc = dict(BR_Z2_ID, elements=[["x", 0, 1], [1, "g", 2]])
+    code, out, err = run(capsys, ["product"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
+def test_unparseable_scalar_is_input_error(capsys, tmp_path):
+    doc = dict(BR_Z2_ID, element={"terms": [[[1, "g", 2], {"re": "x"}]]})
+    code, out, err = run(capsys, ["epsilon"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "bad scalar" in err
 
 
 def test_missing_input(capsys):

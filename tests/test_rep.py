@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from invsemi.rep import (RepMatrix, Truncation, action_matrix,
                          graded_block_check, h_block_check, lambda_matrix,
                          min_eig, norm_lower_bound, psd_refute,
                          rep_identity_check, rho_matrix)
+import invsemi.rep as rep_module
 from invsemi.scalars import QQi
 from util import rand_qqi
 
@@ -83,7 +87,6 @@ def test_repmatrix_algebra_matches_numpy():
         assert np.allclose((A + B).to_dense(), A.to_dense() + B.to_dense())
         assert np.allclose(A.scale("1/3").to_dense(), A.to_dense() / 3)
         assert np.allclose(A.adjoint().to_dense(), A.to_dense().conj().T)
-        assert np.allclose(A.to_sparse().toarray(), A.to_dense())
         assert (A * B).is_exact()
 
 
@@ -237,13 +240,13 @@ def test_min_eig_rejects_non_hermitian():
         min_eig(lambda_matrix(x, B))
 
 
-def test_min_eig_large_window_uses_iterative_solver():
+def test_min_eig_large_window_matches_closed_form():
     sb = example62(2100)
     M = action_matrix(sb.epsilon_xx_star(), sb.action_points)
     m = len(sb.action_points)
     assert m > 2000
     want = 1 - 2 * math.cos(math.pi / (m + 1))
-    assert abs(min_eig(M) - want) < 1e-6
+    assert abs(min_eig(M) - want) < 1e-9
 
 
 def test_norm_lower_bounds_are_monotone():
@@ -259,16 +262,155 @@ def test_norm_lower_bounds_are_monotone():
         assert abs(v - (1 + 2 * math.cos(math.pi / (m + 1)))) < 1e-9
 
 
-def test_norm_lower_bound_large_window_uses_svds():
+def test_norm_lower_bound_large_window_matches_svd():
     sb = example62(2100)
     B = Truncation(None, sb.action_points)
     val = norm_lower_bound(sb.x, B, rep="action")
-    assert 1.9 < val <= 2.0 + 1e-6
+    dense = action_matrix(sb.x, sb.action_points).to_dense()
+    assert not dense.imag.any()   # a real SVD takes 2 s here, a complex one 5 s
+    assert abs(val - np.linalg.svd(dense.real, compute_uv=False)[0]) < 1e-9
+    # ||1 - shift|| on m points is 2cos(pi/(2m + 1))
+    m = len(sb.action_points)
+    assert abs(val - 2 * math.cos(math.pi / (2 * m + 1))) < 1e-9
 
 
 def test_zero_element_has_zero_norm_bound():
     S = five_element_closure()
     assert norm_lower_bound(AlgebraElement(S), full_basis(S)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# block solver: dense or banded LAPACK per connected block
+# ---------------------------------------------------------------------------
+
+def banded_hermitian(rng, n, band):
+    """Random complex Hermitian matrix with every diagonal up to `band` full."""
+    M = RepMatrix(n)
+    for i in range(n):
+        M.add_entry(i, i, QQi(rng.randint(-9, 9)))
+        for d in range(1, min(band, n - 1 - i) + 1):
+            c = rand_qqi(rng) or QQi(1)
+            M.add_entry(i + d, i, c)
+            M.add_entry(i, i + d, c.conjugate())
+    return M
+
+
+def assert_spectrum_matches(M):
+    vals = np.linalg.eigvalsh(M.to_dense())
+    assert abs(min_eig(M) - vals[0]) < 1e-9
+    assert abs(rep_module._extreme_eigvals(M, picks=(-1,))[0] - vals[-1]) < 1e-9
+
+
+@pytest.fixture
+def banded_calls(monkeypatch):
+    """Record the band storage of every banded solve."""
+    import scipy.linalg
+    calls = []
+    solve = scipy.linalg.eig_banded
+
+    def spy(ab, *args, **kwargs):
+        calls.append((ab.shape, ab.dtype))
+        return solve(ab, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", spy)
+    return calls
+
+
+def test_block_solver_splits_br_square_into_degree_blocks():
+    rng = random.Random(5)
+    ctx, _ = br_z2_contexts()
+    f = AlgebraElement(ctx, [((0, 0, 0), rand_qqi(rng)), ((1, 1, 0), rand_qqi(rng)),
+                             ((2, 0, 1), rand_qqi(rng)), ((0, 1, 3), rand_qqi(rng))])
+    ff = convolve(involution(f), f)
+    B = Truncation(ctx, br_window(ctx, 9))
+    M = lambda_matrix(ff, B)
+    blocks, free = rep_module._blocks(M)
+    assert (M.n, free) == (200, 0)
+    assert sorted(size for size, *_ in blocks) == [20] * 10
+    assert_spectrum_matches(M)
+    vals = np.linalg.eigvalsh(M.to_dense())
+    assert abs(norm_lower_bound(ff, B) - max(-vals[0], vals[-1])) < 1e-9
+
+
+def test_block_solver_complex_banded_block(banded_calls):
+    M = banded_hermitian(random.Random(8), 600, 3)
+    assert len(rep_module._blocks(M)[0]) == 1
+    assert_spectrum_matches(M)
+    assert banded_calls == [((4, 600), np.complex128)] * 2   # min_eig, then the top
+
+
+def test_block_solver_real_entries_use_real_band_storage(banded_calls):
+    sb = example62(400)
+    assert_spectrum_matches(action_matrix(sb.epsilon_xx_star(), sb.action_points))
+    assert banded_calls == [((2, 401), np.float64)] * 2
+
+
+def test_block_solver_wide_band_takes_dense_fallback(monkeypatch):
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a wide-band block must not reach eig_banded")
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", refuse)
+    M = banded_hermitian(random.Random(4), 300, 12)   # 32 * 12 > 300
+    assert len(rep_module._blocks(M)[0]) == 1
+    assert_spectrum_matches(M)
+
+
+def test_block_solver_counts_untouched_indices_as_zero_eigenvalues():
+    M = RepMatrix(5, {(0, 0): 2, (1, 1): 3, (3, 4): 1, (4, 3): 1})
+    assert rep_module._blocks(M)[1] == 1
+    assert min_eig(M) == pytest.approx(-1.0)
+    assert min_eig(RepMatrix(5, {(0, 0): 2})) == 0.0
+    assert_spectrum_matches(M)
+
+
+def test_norm_lower_bound_gram_path_for_non_hermitian(banded_calls):
+    # two shift blocks of 350 points with complex weights: not Hermitian
+    rng = random.Random(13)
+    n, half = 700, 350
+    ctx = IXContext(range(n))
+
+    def shift(k):
+        return PartialBijection({p: p + k for p in range(n - k)
+                                 if (p < half) == (p + k < half)})
+
+    f = AlgebraElement(ctx, [(PartialBijection({p: p for p in range(n)}), rand_qqi(rng)),
+                             (shift(1), rand_qqi(rng)), (shift(2), rand_qqi(rng)),
+                             (shift(1).inverse(), rand_qqi(rng))])
+    B = Truncation(None, range(n))
+    M = action_matrix(f, B)
+    assert not M.is_hermitian()
+    assert len(rep_module._blocks(M)[0]) == 2
+    val = norm_lower_bound(f, B, rep="action")
+    assert abs(val - np.linalg.svd(M.to_dense(), compute_uv=False)[0]) < 1e-9
+    # bands 2 below and 1 above give a Gram band of 3; one solve per block
+    assert banded_calls == [((4, half), np.complex128)] * 2
+
+
+def test_psd_refute_large_br_square_is_not_refuted():
+    # 2048 dims and a smallest eigenvalue near 6e-9: the former iterative
+    # solver (eigsh "SA") raised ArpackNoConvergence on this f after 68 s
+    ctx, _ = br_z2_contexts()
+    f = AlgebraElement(ctx, [((0, 0, 0), QQi("1/3", 2)), ((1, 1, 0), QQi("-2/5", -3)),
+                             ((2, 0, 1), QQi("2/5", 3)), ((0, 1, 3), QQi("4/3", 5))])
+    cert = psd_refute(convolve(involution(f), f), Truncation(ctx, br_window(ctx, 31)))
+    assert cert["basis_size"] == 2048
+    assert not cert["refuted"]
+    assert 5e-9 < cert["value"] < 7e-9   # dense eigvalsh: 6.0886e-9
+
+
+def test_min_eig_leaves_scipy_unloaded_on_small_windows():
+    code = ("import sys, invsemi\n"
+            "from invsemi import action_matrix, example62, min_eig\n"
+            "sb = example62(60)\n"
+            "min_eig(action_matrix(sb.epsilon_xx_star(), sb.action_points))\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rep_module.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
