@@ -419,24 +419,30 @@ def check_grading(grading: Grading, elements) -> dict:
     nonzero idempotents (idempotent-pure).
     """
     ctx = grading.context
+    mul = grading.group.mul
     elems = [e for e in elements if not ctx.is_zero(e)]
+    # each listed element is graded once; a product outside the list is
+    # graded on the spot, so no degree is cached beyond the list itself
+    degree = {e: grading.degree(e) for e in elems}
     violations = []
     checked = 0
     for a in elems:
+        da = degree[a]
         for b in elems:
             p = ctx.product(a, b)
             checked += 1
             if ctx.is_zero(p):
                 continue
-            want = grading.group.mul(grading.degree(a), grading.degree(b))
-            if grading.degree(p) != want:
+            want = mul(da, degree[b])
+            got = degree[p] if p in degree else grading.degree(p)
+            if got != want:
                 violations.append({
                     "left": _elem_label(ctx, a),
                     "right": _elem_label(ctx, b),
-                    "product_degree": str(grading.degree(p)),
+                    "product_degree": str(got),
                     "expected_degree": str(want),
                 })
-    kernel = {e for e in elems if grading.kernel_member(e)}
+    kernel = {e for e in elems if degree[e] == grading.group.identity}
     idem = {e for e in elems if ctx.product(e, e) == e}
     return {
         "checked": checked,

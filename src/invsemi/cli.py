@@ -10,6 +10,7 @@ passed, 1 a mathematical assertion failed (the report carries a witness),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,7 +21,8 @@ from .acceptance import report_dict, run_all
 from .algebra import (bundle_fibers, check_grading, epsilon_restrict,
                       fiber_decompose, sos_witness_coset,
                       sos_witness_idempotent_kernel)
-from .core import is_e_unitary, materialize_context, max_group_image
+from .core import (e_unitary_witness, is_e_unitary, materialize_context,
+                   max_group_image)
 from .errors import InputError, MathAssertionError
 from .families import br_coset_rep, example62, quasi_lattice_check, tq_oracle_check
 from .graphs import (GraphContext, enumerate_pairs, fiber_word_legs,
@@ -91,13 +93,14 @@ def _payload(li: LoadedInput, key):
 
 
 def _finite_semigroup(li: LoadedInput, args):
+    """(S, labels, (G, sigma)) for a semigroup or acyclic graph document."""
     if li.kind == "semigroup":
-        return li.structure, li.structure.labels
+        return li.structure, li.structure.labels, li.group_image()
     if li.kind == "graph":
         elems = enumerate_pairs(li.structure, args.length, include_zero=True)
         S = materialize_context(GraphContext(li.structure), elems,
                                 labels=[repr(e) for e in elems])
-        return S, S.labels
+        return S, S.labels, max_group_image(S)
     raise InputError(f"{li.kind} structures are infinite; "
                      "use a semigroup or graph document")
 
@@ -150,29 +153,22 @@ def cmd_idempotents(args):
 
 def cmd_max_group_image(args):
     li = _load(args)
-    S, labels = _finite_semigroup(li, args)
-    G, sigma = max_group_image(S)
+    S, labels, image = _finite_semigroup(li, args)
+    G, sigma = image
     return {"command": "max-group-image",
             "order": G.n,
             "group_table": G.table,
             "group_labels": G.labels,
             "sigma": [[labels[s], G.labels[sigma[s]]] for s in S.elements()],
-            "e_unitary": is_e_unitary(S)}, 0
+            "e_unitary": is_e_unitary(S, image)}, 0
 
 
 def cmd_e_unitary(args):
     li = _load(args)
-    S, labels = _finite_semigroup(li, args)
-    G, sigma = max_group_image(S)
-    verdict = is_e_unitary(S)
-    witness = None
-    if not verdict:
-        bad = next(s for s in S.elements()
-                   if sigma[s] == G.identity and not S.is_zero(s)
-                   and not S.is_idempotent(s))
-        witness = labels[bad]
-    return {"command": "e-unitary", "e_unitary": verdict,
-            "witness": witness}, 0
+    S, labels, image = _finite_semigroup(li, args)
+    bad = e_unitary_witness(S, image)
+    return {"command": "e-unitary", "e_unitary": bad is None,
+            "witness": None if bad is None else labels[bad]}, 0
 
 
 def cmd_epsilon(args):
@@ -418,8 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser is built once per process: building it costs about 6 ms."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command in _RANDOMIZED and args.seed is None:
         sys.stderr.write("input error: --seed is mandatory for randomized checks\n")
         return 2

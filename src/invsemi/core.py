@@ -11,6 +11,11 @@ Three kinds of carrier live here:
 
 All contexts share the small product/star/is_zero protocol that the algebra
 layer builds on.
+
+On a table of n elements, closure, validation and the group image cost
+about n*k or n^2 each, where k is the size of a generating set: closure
+walks the right Cayley graph, validation runs Light's associativity test
+over a generating set, and the group image unions each s with e*s.
 """
 
 from __future__ import annotations
@@ -151,6 +156,8 @@ class FiniteInverseSemigroup(SemigroupContext):
         self.table = [list(row) for row in table]
         self.n = len(self.table)
         if star_table is None:
+            if check:
+                _check_cells(self.table, self.n, "$.table")
             star_table = self._derive_star()
         self.star_table = list(star_table)
         self.zero_index = zero
@@ -203,19 +210,26 @@ class FiniteInverseSemigroup(SemigroupContext):
         return star
 
     def validate(self):
+        """Check the table is an inverse semigroup with this star and zero.
+
+        Associativity is Light's test over a generating set. Inverses are not
+        searched for: a regular semigroup (star gives an inverse of every
+        element) whose idempotents commute is inverse, so each one is unique.
+        """
         n = self.n
-        for i, row in enumerate(self.table):
-            if len(row) != n or any(not (0 <= v < n) for v in row):
-                raise InputError(f"table row {i} malformed")
-        if len(self.star_table) != n or any(not (0 <= v < n) for v in self.star_table):
-            raise InputError("star table malformed")
+        _check_cells(self.table, n, "$.table")
+        if len(self.star_table) != n:
+            raise InputError(f"$.star: {len(self.star_table)} entries for {n} elements")
+        _check_index_list(self.star_table, n, "$.star")
+        z = self.zero_index
+        if z is not None and not (type(z) is int and 0 <= z < n):
+            raise InputError(f"$.zero: expected an element index in 0..{n - 1}, got {z!r}")
+        if len(self.labels) != n:
+            raise InputError(f"$.labels: {len(self.labels)} labels for {n} elements")
         t = self.table
-        for a in range(n):
-            for b in range(n):
-                ab = t[a][b]
-                for c in range(n):
-                    if t[ab][c] != t[a][t[b][c]]:
-                        raise InputError(f"not associative at ({a},{b},{c})")
+        bad = associativity_witness(t)
+        if bad is not None:
+            raise InputError(f"not associative at {bad}")
         for s in range(n):
             st = self.star_table[s]
             if t[t[s][st]][s] != s or t[t[st][s]][st] != st:
@@ -227,17 +241,79 @@ class FiniteInverseSemigroup(SemigroupContext):
             for f in idem:
                 if t[e][f] != t[f][e]:
                     raise InputError(f"idempotents {e},{f} do not commute")
-        for s in range(n):
-            found = [x for x in range(n)
-                     if t[t[s][x]][s] == s and t[t[x][s]][x] == x]
-            if len(found) != 1:
-                raise InputError(f"inverse of {s} not unique")
-        z = self.zero_index
         if z is not None:
             if any(t[z][s] != z or t[s][z] != z for s in range(n)):
                 raise InputError("declared zero is not absorbing")
             if self.star_table[z] != z:
                 raise InputError("zero not star-fixed")
+
+
+def _check_index_list(values, n, path):
+    """Every entry of `values` is an int in 0..n-1 (bool and float rejected)."""
+    if not values or set(map(type, values)) == {int} and 0 <= min(values) and max(values) < n:
+        return
+    for j, v in enumerate(values):
+        if type(v) is not int or not 0 <= v < n:
+            raise InputError(f"{path}[{j}]: expected an element index in 0..{n - 1}, got {v!r}")
+
+
+def _check_cells(table, n, path):
+    """The table is n x n and every cell is an element index."""
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise InputError(f"{path}[{i}]: row has {len(row)} cells, expected {n}")
+        _check_index_list(row, n, f"{path}[{i}]")
+
+
+def _generating_set(t):
+    """A greedy generating set of the magma with product table t.
+
+    Scans elements in index order; one not yet reached becomes a generator,
+    and the reached set is closed under right multiplication by every
+    generator so far. Every element is then a left-normed product
+    (...((g1 g2) g3)...) gk of generators.
+    """
+    n = len(t)
+    gens, order = [], []
+    reached = [False] * n
+    done = [0] * n          # how many generators order[i] was multiplied by
+    for x in range(n):
+        if reached[x]:
+            continue
+        gens.append(x)
+        reached[x] = True
+        order.append(x)
+        i = 0
+        while i < len(order):
+            r = order[i]
+            row = t[r]
+            for g in gens[done[r]:]:
+                p = row[g]
+                if not reached[p]:
+                    reached[p] = True
+                    order.append(p)
+            done[r] = len(gens)
+            i += 1
+    return gens
+
+
+def associativity_witness(t):
+    """Light's test: a triple (x, g, y) with (xg)y != x(gy), or None.
+
+    The set of a with (xa)y = x(ay) for all x, y is closed under products in
+    any magma, so it is the whole table once it holds every element of a
+    generating set. Costs n^2 per generator instead of n^3 overall.
+    """
+    n = len(t)
+    for g in _generating_set(t):
+        row_g = t[g]
+        for x in range(n):
+            row_x = t[x]
+            left = t[row_x[g]]
+            if left != list(map(row_x.__getitem__, row_g)):
+                y = next(y for y in range(n) if left[y] != row_x[row_g[y]])
+                return (x, g, y)
+    return None
 
 
 class GroupTable:
@@ -247,6 +323,8 @@ class GroupTable:
         self.table = [list(row) for row in table]
         self.n = len(self.table)
         self.labels = list(labels) if labels else [f"g{i}" for i in range(self.n)]
+        if check:
+            _check_cells(self.table, self.n, "$.group.table")
         self.identity = self._find_identity()
         self.inverse_table = self._derive_inverses()
         if check:
@@ -276,12 +354,9 @@ class GroupTable:
         for a in range(n):
             if sorted(t[a]) != list(range(n)) or sorted(t[x][a] for x in range(n)) != list(range(n)):
                 raise InputError(f"row/column {a} not a permutation")
-        for a in range(n):
-            for b in range(n):
-                ab = t[a][b]
-                for c in range(n):
-                    if t[ab][c] != t[a][t[b][c]]:
-                        raise InputError(f"group not associative at ({a},{b},{c})")
+        bad = associativity_witness(t)
+        if bad is not None:
+            raise InputError(f"group not associative at {bad}")
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -329,9 +404,13 @@ class Homomorphism:
 def close_generators(gens, carrier=None, cap=20000) -> FiniteInverseSemigroup:
     """Close partial bijections under composition and inversion.
 
-    Seeds the generators and their inverses, then runs a deterministic
-    product fixpoint. Returns the tabulated semigroup; the empty map becomes
-    the zero when it arises. Raises CapExceeded past `cap` elements.
+    Breadth-first orbit on the right Cayley graph (Froidure & Pin): seeds the
+    generators, then their inverses, and right-multiplies each element in
+    first-seen order by those seeds only, so it composes n*k maps for n
+    elements and k seeds. Every other table column follows from the graph: if
+    b = p*g then a*b = (a*p)*g, one lookup per cell. Returns the tabulated
+    semigroup; the empty map becomes the zero when it arises. Raises
+    CapExceeded past `cap` elements.
     """
     gens = list(gens)
     if not gens:
@@ -348,34 +427,38 @@ def close_generators(gens, carrier=None, cap=20000) -> FiniteInverseSemigroup:
 
     elems = []
     index = {}
+    parent, step = [], []   # element i >= k is elems[parent[i]] * steps[step[i]]
 
-    def intern(pb):
-        if pb in index:
-            return False
-        if len(elems) >= cap:
-            raise CapExceeded(f"closure exceeded cap {cap}")
-        index[pb] = len(elems)
-        elems.append(pb)
-        return True
+    def intern(pb, p=None, j=None):
+        i = index.get(pb)
+        if i is None:
+            if len(elems) >= cap:
+                raise CapExceeded(f"closure exceeded cap {cap}")
+            i = index[pb] = len(elems)
+            elems.append(pb)
+            parent.append(p)
+            step.append(j)
+        return i
 
     for g in gens:
         intern(g)
     for g in gens:
         intern(g.inverse())
-    grew = True
-    while grew:
-        grew = False
-        snapshot = list(elems)
-        for a in snapshot:
-            for b in snapshot:
-                if intern(a.compose(b)):
-                    grew = True
+    steps = list(elems)
+    k = len(steps)
+    # right[j][a] = index of elems[a] * steps[j]: column j of the table
+    right = [[] for _ in steps]
+    for a, pb in enumerate(elems):
+        for j, g in enumerate(steps):
+            right[j].append(intern(pb.compose(g), a, j))
 
-    table = [[index[a.compose(b)] for b in elems] for a in elems]
+    cols = right[:]
+    for b in range(k, len(elems)):
+        cols.append(list(map(right[step[b]].__getitem__, cols[parent[b]])))
     star = [index[a.inverse()] for a in elems]
     zero = index.get(EMPTY_PB)
     labels = [pb_label(p) for p in elems]
-    return FiniteInverseSemigroup(table, star, zero=zero, labels=labels,
+    return FiniteInverseSemigroup(zip(*cols), star, zero=zero, labels=labels,
                                   witnesses=elems, check=False)
 
 
@@ -445,8 +528,11 @@ def domain_members(a, S: FiniteInverseSemigroup):
 def max_group_image(S: FiniteInverseSemigroup):
     """Least group congruence quotient: s ~ t iff es = et for some idempotent e.
 
-    Returns (GroupTable, sigma) with sigma the class map. A semigroup with
-    zero collapses to the trivial group.
+    s ~ t exactly when s and t have a common lower bound in the natural
+    order, and e*s <= s, so sigma is the equivalence generated by s ~ e*s:
+    |S|*|E| unions. Returns (GroupTable, sigma) with sigma the class map,
+    classes numbered by least member. A semigroup with zero collapses to the
+    trivial group.
     """
     n = S.n
     E = idempotents(S)
@@ -463,33 +549,42 @@ def max_group_image(S: FiniteInverseSemigroup):
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    for s in range(n):
-        for t in range(s + 1, n):
-            if any(S.product(e, s) == S.product(e, t) for e in E):
-                union(s, t)
+    for e in E:
+        for s, es in enumerate(S.table[e]):
+            union(s, es)
 
     roots = sorted({find(x) for x in range(n)})
     cls = {r: i for i, r in enumerate(roots)}
     sigma = [cls[find(x)] for x in range(n)]
-    m = len(roots)
-    qtable = [[None] * m for _ in range(m)]
+    # each class's least member comes first in row-major order, so the
+    # quotient is read off the roots and every row is checked against it
+    qtable = [[sigma[S.table[r][u]] for u in roots] for r in roots]
     for s in range(n):
-        for t in range(n):
-            a, b, c = sigma[s], sigma[t], sigma[S.product(s, t)]
-            if qtable[a][b] is None:
-                qtable[a][b] = c
-            elif qtable[a][b] != c:
-                raise OracleMismatch("group congruence not well defined",
-                                     witness=(s, t))
+        got = list(map(sigma.__getitem__, S.table[s]))
+        want = list(map(qtable[sigma[s]].__getitem__, sigma))
+        if got != want:
+            t = next(t for t in range(n) if got[t] != want[t])
+            raise OracleMismatch("group congruence not well defined",
+                                 witness=(s, t))
     G = GroupTable(qtable, labels=[S.labels[r] for r in roots])
     return G, sigma
 
 
-def is_e_unitary(S: FiniteInverseSemigroup) -> bool:
+def e_unitary_witness(S: FiniteInverseSemigroup, image=None):
+    """First non-idempotent in the kernel of the maximum group image, or None.
+
+    `image` is a (G, sigma) already computed by max_group_image. The kernel
+    always holds E(S), so S is E-unitary exactly when this returns None.
+    """
+    G, sigma = image if image is not None else max_group_image(S)
+    t = S.table
+    return next((s for s in S.elements()
+                 if sigma[s] == G.identity and t[s][s] != s), None)
+
+
+def is_e_unitary(S: FiniteInverseSemigroup, image=None) -> bool:
     """True when the kernel of the maximum group image is exactly E(S)."""
-    G, sigma = max_group_image(S)
-    kernel = {s for s in S.elements() if sigma[s] == G.identity}
-    return kernel == set(idempotents(S))
+    return e_unitary_witness(S, image) is None
 
 
 def kernel_of(phi: Homomorphism) -> frozenset:
@@ -497,19 +592,21 @@ def kernel_of(phi: Homomorphism) -> frozenset:
                      if phi(s) == phi.target.identity)
 
 
-def upward_closure(H, S: FiniteInverseSemigroup) -> frozenset:
-    """{t : te in H for some idempotent e}."""
-    E = idempotents(S)
+def upward_closure(H, S: FiniteInverseSemigroup, E=None) -> frozenset:
+    """{t : te in H for some idempotent e}; E defaults to idempotents(S)."""
+    if E is None:
+        E = idempotents(S)
     Hset = frozenset(H)
-    return frozenset(t for t in S.elements()
-                     if any(S.product(t, e) in Hset for e in E))
+    t = S.table
+    return frozenset(x for x in S.elements()
+                     if any(t[x][e] in Hset for e in E))
 
 
 def upward_closed(H, S: FiniteInverseSemigroup) -> bool:
     return upward_closure(H, S) == frozenset(H)
 
 
-def _check_inverse_subsemigroup(H, S: FiniteInverseSemigroup):
+def _check_upward_closed_subsemigroup(H, S: FiniteInverseSemigroup, E):
     Hset = frozenset(H)
     for h in Hset:
         if S.star(h) not in Hset:
@@ -517,6 +614,10 @@ def _check_inverse_subsemigroup(H, S: FiniteInverseSemigroup):
         for k in Hset:
             if S.product(h, k) not in Hset:
                 raise InputError(f"subset not product-closed at ({h},{k})")
+    up = upward_closure(Hset, S, E)
+    if up != Hset:
+        raise NotUpwardClosed("subsemigroup is not upward closed",
+                              witness=sorted(up - Hset))
 
 
 def omega_coset(s, H, S: FiniteInverseSemigroup) -> frozenset:
@@ -524,24 +625,20 @@ def omega_coset(s, H, S: FiniteInverseSemigroup) -> frozenset:
 
     H must be an upward closed inverse subsemigroup.
     """
-    _check_inverse_subsemigroup(H, S)
-    if not upward_closed(H, S):
-        raise NotUpwardClosed("subsemigroup is not upward closed",
-                              witness=sorted(upward_closure(H, S) - frozenset(H)))
-    sH = frozenset(S.product(s, h) for h in H)
-    return upward_closure(sH, S)
+    E = idempotents(S)
+    _check_upward_closed_subsemigroup(H, S, E)
+    return upward_closure({S.product(s, h) for h in H}, S, E)
 
 
 def omega_coset_diagnostic(H, S: FiniteInverseSemigroup) -> dict:
     """All distinct up(sH) with a partition verdict; never raises on overlap."""
-    _check_inverse_subsemigroup(H, S)
-    if not upward_closed(H, S):
-        raise NotUpwardClosed("subsemigroup is not upward closed",
-                              witness=sorted(upward_closure(H, S) - frozenset(H)))
-    cosets = []
+    E = idempotents(S)
+    _check_upward_closed_subsemigroup(H, S, E)
+    cosets, seen = [], set()
     for s in S.elements():
-        c = omega_coset(s, H, S)
-        if c not in cosets:
+        c = upward_closure({S.product(s, h) for h in H}, S, E)
+        if c not in seen:
+            seen.add(c)
             cosets.append(c)
     covered = frozenset().union(*cosets) if cosets else frozenset()
     overlap = None

@@ -56,8 +56,10 @@ SCHEMAS = {
                 "items": {"type": "array",
                           "items": {"type": "array", "minItems": 2, "maxItems": 2}},
             },
-            "table": {"type": "array", "items": {"type": "array",
-                                                 "items": {"type": "integer"}}},
+            # cells are checked by FiniteInverseSemigroup.validate, which
+            # names the JSON path; one schema descent per cell costs more
+            # than the whole table check
+            "table": {"type": "array", "items": {"type": "array"}},
             "star": {"type": "array", "items": {"type": "integer"}},
             "zero": {"type": ["integer", "null"]},
             "labels": {"type": "array", "items": {"type": "string"}},
@@ -138,12 +140,24 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _point(v):
+    """A map point: JSON lists become tuples; the result must be hashable."""
+    v = tuple(v) if isinstance(v, list) else v
+    try:
+        hash(v)
+    except TypeError:
+        raise InputError(f"map points must be numbers, strings or flat lists, got {v!r}") from None
+    return v
+
+
 def _pairs_to_map(pairs):
+    if not isinstance(pairs, (list, tuple)):
+        raise InputError(f"a map must list [x, y] pairs, got {pairs!r}")
     m = {}
     for xy in pairs:
-        x, y = xy[0], xy[1]
-        x = tuple(x) if isinstance(x, list) else x
-        y = tuple(y) if isinstance(y, list) else y
+        if not (isinstance(xy, (list, tuple)) and len(xy) == 2):
+            raise InputError(f"a map must list [x, y] pairs, got {xy!r}")
+        x, y = _point(xy[0]), _point(xy[1])
         if x in m:
             raise InputError(f"generator maps {x!r} twice")
         m[x] = y
@@ -156,6 +170,7 @@ class LoadedInput:
     def __init__(self, doc):
         self.doc = doc
         self.kind = validate_document(doc)
+        self._image = None
         if self.kind == "semigroup":
             if "generators" in doc:
                 gens = [PartialBijection(_pairs_to_map(g)) for g in doc["generators"]]
@@ -190,11 +205,16 @@ class LoadedInput:
             return self.structure.context
         return self.structure
 
+    def group_image(self):
+        """(G, sigma) of a semigroup document, computed once per input."""
+        if self._image is None:
+            self._image = max_group_image(self.structure)
+        return self._image
+
     def grading(self) -> Grading:
         if self.kind == "semigroup":
-            S = self.structure
-            G, sigma = max_group_image(S)
-            return Grading(S, TableGroupOps(G), lambda s: sigma[s])
+            G, sigma = self.group_image()
+            return Grading(self.structure, TableGroupOps(G), sigma.__getitem__)
         if self.kind == "graph":
             return graph_grading(self.structure)
         if self.kind == "bruck_reilly":
@@ -259,8 +279,13 @@ class LoadedInput:
             return ZERO_PAIR
         if not isinstance(doc, dict) or "mu" not in doc or "nu" not in doc:
             raise InputError(f"element must carry mu and nu edge lists, got {doc!r}")
-        mu, nu = list(doc["mu"]), list(doc["nu"])
+        mu, nu = doc["mu"], doc["nu"]
+        if not all(isinstance(leg, (list, tuple)) and all(
+                isinstance(e, str) or _is_int(e) for e in leg) for leg in (mu, nu)):
+            raise InputError(f"mu and nu must be lists of edge ids, got {doc!r}")
         base = doc.get("vertex")
+        if base is not None and not (isinstance(base, str) or _is_int(base)):
+            raise InputError(f"vertex must be a vertex id, got {base!r}")
         if base is None:
             for leg in (mu, nu):
                 if leg:
@@ -326,8 +351,7 @@ class LoadedInput:
         if isinstance(d, tuple):
             return list(d)
         if self.kind == "semigroup":
-            G, _ = max_group_image(self.structure)
-            return G.labels[d]
+            return self.group_image()[0].labels[d]
         return d
 
 

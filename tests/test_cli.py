@@ -407,3 +407,58 @@ def test_text_format(capsys):
     assert code == 0
     assert "e_unitary: true" in out
     assert not out.lstrip().startswith("{")
+
+
+def test_graph_element_with_non_list_leg_is_input_error(capsys, tmp_path):
+    doc = dict(BOUQUET2, element={"mu": 5, "nu": []})
+    code, out, err = run(capsys, ["psd"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "mu and nu" in err and "Traceback" not in err
+
+
+def test_shift_map_with_short_pair_is_input_error(capsys, tmp_path):
+    doc = {"kind": "shift_bundle", "window": 5, "element": {"map": [[1]]}}
+    code, out, err = run(capsys, ["psd"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "[x, y] pairs" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell", ["x", 1.5, True, 1.0])
+def test_non_index_table_cell_is_input_error(capsys, tmp_path, cell):
+    doc = {"kind": "semigroup", "table": [[0, 1], [1, cell]]}
+    code, out, err = run(capsys, ["idempotents"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "$.table[1][1]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, path", [
+    ("zero", 5, "$.zero"), ("zero", -1, "$.zero"), ("star", [0, 1.0], "$.star[1]"),
+    ("labels", ["e"], "$.labels")])
+def test_out_of_range_zero_star_or_labels_is_input_error(capsys, tmp_path, field, value, path):
+    doc = {"kind": "semigroup", "table": [[0, 1], [1, 1]], field: value}
+    code, out, err = run(capsys, ["idempotents"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert path in err and "Traceback" not in err
+
+
+def test_float_group_table_cell_is_input_error(capsys, tmp_path):
+    doc = dict(BR_Z2_ID, group={"table": [[0, 1.0], [1, 0]]})
+    code, out, err = run(capsys, ["idempotents"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "$.group.table[0][1]" in err and "Traceback" not in err
+
+
+def test_e_unitary_and_group_image_agree_on_witness(capsys):
+    _, out, _ = run(capsys, ["max-group-image", "--input", "five_element"])
+    image = json.loads(out)
+    _, out, _ = run(capsys, ["e-unitary", "--input", "five_element"])
+    verdict = json.loads(out)
+    assert image["e_unitary"] is verdict["e_unitary"] is False
+    # the group is trivial, so the witness is the first non-idempotent
+    assert image["order"] == 1
+    assert verdict["witness"] == "0>1"

@@ -20,7 +20,12 @@ def raw_inverse(f: dict) -> dict:
 
 
 def raw_closure(gens, cap=100000):
-    """Brute-force closure of raw dict partial maps under compose/inverse."""
+    """Brute-force closure of raw dict partial maps under compose/inverse.
+
+    Seeds the generators, then their inverses, and multiplies every pair of
+    known elements per round until nothing new appears; elements are listed
+    in first-seen order.
+    """
     seen = set()
     elems = []
 
@@ -35,6 +40,7 @@ def raw_closure(gens, cap=100000):
 
     for g in gens:
         add(g)
+    for g in gens:
         add(raw_inverse(g))
     grew = True
     while grew:
