@@ -21,9 +21,8 @@ from .algebra import (AlgebraElement, Grading, TableGroupOps, check_grading,
                       convolve, epsilon_restrict, involution,
                       sos_witness_coset, sos_witness_idempotent_kernel)
 from .core import (FiniteInverseSemigroup, Homomorphism, close_generators,
-                   idempotents, materialize_context, max_group_image,
-                   omega_coset_diagnostic, omega_coset_partition,
-                   PartialBijection)
+                   idempotents, max_group_image, omega_coset_diagnostic,
+                   omega_coset_partition, PartialBijection)
 from .errors import MathAssertionError
 from .families import (br_coset_rep, br_grading, br_omega_coset_check,
                        br_refined_grading, br_window, br_z2_contexts,
@@ -379,11 +378,7 @@ def criterion_9(seed=0):
     # zero forces a trivial maximum group image
     S5 = close_generators([PartialBijection({0: 1})])
     G5, _ = max_group_image(S5)
-    two_parallel = load_fixture("two_parallel").structure
-    ctx = GraphContext(two_parallel)
-    elems = enumerate_pairs(two_parallel, 2, include_zero=True)
-    Sg = materialize_context(ctx, elems)
-    Gg, _ = max_group_image(Sg)
+    Sg, (Gg, _) = load_fixture("two_parallel").finite_semigroup()
     detail["trivial_max_images"] = {"closure": G5.n, "two_parallel": Gg.n,
                                     "two_parallel_size": Sg.n}
     ok = ok and G5.n == 1 and Gg.n == 1

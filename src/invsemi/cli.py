@@ -21,12 +21,10 @@ from .acceptance import report_dict, run_all
 from .algebra import (bundle_fibers, check_grading, epsilon_restrict,
                       fiber_decompose, sos_witness_coset,
                       sos_witness_idempotent_kernel)
-from .core import (e_unitary_witness, is_e_unitary, materialize_context,
-                   max_group_image)
+from .core import e_unitary_witness, is_e_unitary
 from .errors import InputError, MathAssertionError
-from .families import br_coset_rep, example62, quasi_lattice_check, tq_oracle_check
-from .graphs import (GraphContext, enumerate_pairs, fiber_word_legs,
-                     orthogonality_check, semisaturation_factorize)
+from .families import example62, quasi_lattice_check, tq_oracle_check
+from .graphs import fiber_word_legs, orthogonality_check, semisaturation_factorize
 from .jsonio import LoadedInput, dump_report, load_fixture, load_input
 from .rep import (Truncation, action_matrix, coaction_unitary_check, min_eig,
                   norm_lower_bound, psd_refute)
@@ -92,19 +90,6 @@ def _payload(li: LoadedInput, key):
     return li.doc[key]
 
 
-def _finite_semigroup(li: LoadedInput, args):
-    """(S, labels, (G, sigma)) for a semigroup or acyclic graph document."""
-    if li.kind == "semigroup":
-        return li.structure, li.structure.labels, li.group_image()
-    if li.kind == "graph":
-        elems = enumerate_pairs(li.structure, args.length, include_zero=True)
-        S = materialize_context(GraphContext(li.structure), elems,
-                                labels=[repr(e) for e in elems])
-        return S, S.labels, max_group_image(S)
-    raise InputError(f"{li.kind} structures are infinite; "
-                     "use a semigroup or graph document")
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (report, exit_code)
 # ---------------------------------------------------------------------------
@@ -112,10 +97,7 @@ def _finite_semigroup(li: LoadedInput, args):
 def cmd_product(args):
     li = _load(args)
     ctx = li.context()
-    docs = _payload(li, "elements")
-    if not isinstance(docs, list) or len(docs) < 2:
-        raise InputError("'elements' must list at least two elements")
-    elems = [li.decode_element(d) for d in docs]
+    elems = [li.decode_element(d) for d in _payload(li, "elements")]
     out = elems[0]
     for e in elems[1:]:
         out = ctx.product(out, e)
@@ -128,7 +110,7 @@ def cmd_order(args):
     li = _load(args)
     ctx = li.context()
     docs = _payload(li, "elements")
-    if not isinstance(docs, list) or len(docs) != 2:
+    if len(docs) != 2:
         raise InputError("'elements' must list exactly two elements")
     u, t = (li.decode_element(d) for d in docs)
 
@@ -153,34 +135,31 @@ def cmd_idempotents(args):
 
 def cmd_max_group_image(args):
     li = _load(args)
-    S, labels, image = _finite_semigroup(li, args)
+    S, image = li.finite_semigroup()
     G, sigma = image
     return {"command": "max-group-image",
             "order": G.n,
             "group_table": G.table,
             "group_labels": G.labels,
-            "sigma": [[labels[s], G.labels[sigma[s]]] for s in S.elements()],
+            "sigma": [[S.labels[s], G.labels[sigma[s]]] for s in S.elements()],
             "e_unitary": is_e_unitary(S, image)}, 0
 
 
 def cmd_e_unitary(args):
     li = _load(args)
-    S, labels, image = _finite_semigroup(li, args)
+    S, image = li.finite_semigroup()
     bad = e_unitary_witness(S, image)
     return {"command": "e-unitary", "e_unitary": bad is None,
-            "witness": None if bad is None else labels[bad]}, 0
+            "witness": None if bad is None else S.labels[bad]}, 0
 
 
 def cmd_epsilon(args):
     li = _load(args)
     f = li.decode_algebra(_payload(li, "element"))
     if "subsemigroup" in li.doc:
-        H = {li.decode_element(d) for d in li.doc["subsemigroup"]}
-        member = H
-    elif li.kind == "shift_bundle":
-        member = li.structure.h_member
+        member = {li.decode_element(d) for d in li.doc["subsemigroup"]}
     else:
-        member = li.grading().kernel_predicate()
+        member = li.expectation_domain()
     restricted = epsilon_restrict(f, member)
     return {"command": "epsilon",
             "element": li.encode_algebra(f),
@@ -207,19 +186,10 @@ def cmd_sos_witness(args):
     mode = li.doc.get("mode", "idempotent")
     if mode == "idempotent":
         witness = sos_witness_idempotent_kernel(f, grading)
-    elif mode == "coset":
-        if "rep" in li.doc:
-            rep = li.decode_element(li.doc["rep"])
-        elif li.kind == "bruck_reilly":
-            degrees = {grading.degree(s) for s in f.terms}
-            if len(degrees) != 1:
-                raise InputError("coset witness needs a single-fiber element")
-            rep = br_coset_rep(li.structure, degrees.pop())
-        else:
-            raise InputError("coset mode needs a 'rep' element for this structure")
-        witness = sos_witness_coset(f, rep, grading)
     else:
-        raise InputError(f"unknown witness mode {mode!r}")
+        rep = (li.decode_element(li.doc["rep"]) if "rep" in li.doc
+               else li.coset_rep(f, grading))
+        witness = sos_witness_coset(f, rep, grading)
     return {"command": "sos-witness", "mode": mode,
             "identity": "f'* f' = f* f",
             "witness": li.encode_algebra(witness),
@@ -292,17 +262,10 @@ def cmd_toeplitz_oracle(args):
     return report, 0 if report["ok"] else 1
 
 
-def _certificate_basis(li: LoadedInput, args):
-    if li.kind == "shift_bundle":
-        return Truncation(None, li.structure.action_points), "action"
-    rep = li.doc.get("rep", "lambda")
-    return Truncation(li.context(), li.basis(args.window, args.length)), rep
-
-
 def cmd_psd(args):
     li = _load(args)
     f = li.decode_algebra(_payload(li, "element"))
-    B, rep = _certificate_basis(li, args)
+    B, rep = li.certificate_basis(args.window, args.length)
     cert = psd_refute(f, B, rep=rep, tol=args.tol)
     cert["command"] = "psd"
     return cert, 0
@@ -311,7 +274,7 @@ def cmd_psd(args):
 def cmd_norm_bound(args):
     li = _load(args)
     f = li.decode_algebra(_payload(li, "element"))
-    B, rep = _certificate_basis(li, args)
+    B, rep = li.certificate_basis(args.window, args.length)
     value = norm_lower_bound(f, B, rep=rep)
     return {"command": "norm-bound", "rep": rep,
             "basis_size": len(B), "norm_lower_bound": value}, 0
@@ -322,17 +285,7 @@ def cmd_coaction_check(args):
     grading = li.grading()
     basis = li.basis(args.window, args.length)
     B = Truncation(li.context(), basis)
-    if li.kind == "bruck_reilly":
-        group_window = range(-args.window, args.window + 1)
-    else:
-        seen = []
-        for e in basis:
-            d = grading.degree(e)
-            if d not in seen:
-                seen.append(d)
-        if grading.group.identity not in seen:
-            seen.insert(0, grading.group.identity)
-        group_window = seen
+    group_window = li.group_window(basis, grading, args.window)
     report = coaction_unitary_check(grading, B, group_window, basis)
     report["command"] = "coaction-check"
     return report, 0 if report["ok"] else 1

@@ -87,9 +87,6 @@ class PartialBijection:
     def range(self):
         return frozenset(self.map.values())
 
-    def apply(self, x):
-        return self.map[x]
-
     def compose(self, other: "PartialBijection") -> "PartialBijection":
         """self after other: x -> self(other(x)) where both steps are defined."""
         m = {}
@@ -392,9 +389,6 @@ class Homomorphism:
 
     def __call__(self, s):
         return self.mapping[s]
-
-    def is_onto(self) -> bool:
-        return set(self.mapping) == set(range(self.target.n))
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,28 @@ def paths_up_to(graph: DirectedGraph, L: int):
     return out
 
 
+def longest_path(graph: DirectedGraph) -> int:
+    """Edge count of the longest path; InputError naming a cycle's edge ids
+    when the graph has one, since its inverse semigroup is then infinite."""
+    live, k = set(graph.vertices), 0   # the sources of paths with k edges
+    while live:
+        nxt = {graph.src[e] for e in graph.edge_ids if graph.rng[e] in live}
+        if nxt == live:
+            # paths of every length start here, so each of these vertices has
+            # an edge back into the set: follow such edges until one repeats
+            v = next(u for u in graph.vertices if u in live)
+            walk, at = [], {}
+            while v not in at:
+                at[v] = len(walk)
+                walk.append(next(e for e in graph.edge_ids
+                                 if graph.src[e] == v and graph.rng[e] in live))
+                v = graph.rng[walk[-1]]
+            raise InputError(f"the graph has a directed cycle through edges "
+                             f"{walk[at[v]:]}, so its inverse semigroup is infinite")
+        live, k = nxt, k + 1
+    return k - 1
+
+
 def enumerate_pairs(graph: DirectedGraph, L: int, include_zero=False):
     """The truncated semigroup: all pairs with both legs of length <= L."""
     paths = paths_up_to(graph, L)

@@ -8,6 +8,7 @@ explicitly and never silently promoted back to rationals.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -15,125 +16,55 @@ import jsonschema
 
 from .algebra import AlgebraElement, Grading, TableGroupOps
 from .core import (FiniteInverseSemigroup, GroupTable, PartialBijection,
-                   close_generators, max_group_image)
+                   close_generators, materialize_context, max_group_image)
 from .errors import InputError
-from .families import (BRContext, ShiftBundle, TQContext, br_grading,
-                       br_window, tq_grading, tq_window)
+from .families import (BRContext, ShiftBundle, TQContext, br_coset_rep,
+                       br_grading, br_window, tq_grading, tq_window)
 from .graphs import (DirectedGraph, GraphContext, ZERO_PAIR, enumerate_pairs,
-                     graph_grading, pair)
+                     graph_grading, longest_path, pair)
+from .rep import Truncation
 from .scalars import scalar_from_json, scalar_to_json
-
-_SCALAR = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "string"},
-        {"type": "object",
-         "properties": {"re": {"type": ["string", "number"]},
-                        "im": {"type": ["string", "number"]},
-                        "float": {"type": "boolean"}},
-         "required": ["re"],
-         "additionalProperties": False},
-    ]
-}
+from .words import word_to_json
 
 _WORD = {
     "type": "array",
     "items": {"type": "array",
-              "prefixItems": [{"type": "integer"}, {"enum": [1, -1]}],
+              "prefixItems": [{"type": ["string", "integer"]}, {"enum": [1, -1]}],
               "minItems": 2, "maxItems": 2},
 }
 
 _VERTEX = {"type": ["string", "integer"]}
 
-SCHEMAS = {
-    "semigroup": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "semigroup"},
-            "carrier": {"type": "array", "items": {"type": ["string", "integer"]}},
-            "generators": {
-                "type": "array",
-                "items": {"type": "array",
-                          "items": {"type": "array", "minItems": 2, "maxItems": 2}},
-            },
-            # cells are checked by FiniteInverseSemigroup.validate, which
-            # names the JSON path; one schema descent per cell costs more
-            # than the whole table check
-            "table": {"type": "array", "items": {"type": "array"}},
-            "star": {"type": "array", "items": {"type": "integer"}},
-            "zero": {"type": ["integer", "null"]},
-            "labels": {"type": "array", "items": {"type": "string"}},
-        },
-        "required": ["kind"],
-        "oneOf": [{"required": ["generators"]}, {"required": ["table"]}],
-    },
-    "graph": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "graph"},
-            "vertices": {"type": "array", "items": _VERTEX, "minItems": 1},
-            "edges": {"type": "array",
-                      "items": {"type": "object",
-                                "properties": {"id": {"type": ["string", "integer"]},
-                                               "src": _VERTEX,
-                                               "rng": _VERTEX},
-                                "required": ["id", "src", "rng"],
-                                "additionalProperties": False}},
-        },
-        "required": ["kind", "vertices", "edges"],
-    },
-    "bruck_reilly": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "bruck_reilly"},
-            "group": {"type": "object",
-                      "properties": {"table": {"type": "array",
-                                               "items": {"type": "array",
-                                                         "items": {"type": "integer"}}},
-                                     "labels": {"type": "array",
-                                                "items": {"type": "string"}}},
-                      "required": ["table"]},
-            "theta": {"type": "array", "items": {"type": "integer"}},
-        },
-        "required": ["kind", "group", "theta"],
-    },
-    "toeplitz": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "toeplitz"},
-            "n": {"type": "integer", "minimum": 1},
-        },
-        "required": ["kind", "n"],
-    },
-    "shift_bundle": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "shift_bundle"},
-            "window": {"type": "integer", "minimum": 1},
-        },
-        "required": ["kind", "window"],
-    },
+# payload fields any document may carry for specific commands; elements
+# themselves are checked by each kind's decode_element
+_PAYLOAD = {
+    "elements": {"type": "array", "minItems": 2},
+    "subsemigroup": {"type": "array"},
+    "mode": {"enum": ["idempotent", "coset"]},
+    "s": _WORD,
+    "t": _WORD,
 }
 
-# payload fields any document may carry for specific commands; they are
-# interpreted per kind by the decoders below
-_PAYLOAD_KEYS = ("element", "elements", "s", "t", "rep", "mode", "subsemigroup")
+
+def _schema(kind, required=(), **fields):
+    return {"type": "object",
+            "properties": {**_PAYLOAD, "kind": {"const": kind}, **fields},
+            "required": ["kind", *required]}
 
 
-def validate_document(doc) -> str:
-    """Schema-check an input document; returns its kind."""
+def validate_document(doc):
+    """Schema-check an input document; returns the input class of its kind."""
     if not isinstance(doc, dict):
         raise InputError("$: input document must be a JSON object")
     kind = doc.get("kind")
-    if kind not in SCHEMAS:
-        raise InputError(f"$.kind: expected one of {sorted(SCHEMAS)}, got {kind!r}")
-    structural = {k: v for k, v in doc.items() if k not in _PAYLOAD_KEYS}
-    validator = jsonschema.Draft202012Validator(SCHEMAS[kind])
-    errors = sorted(validator.iter_errors(structural), key=lambda e: e.json_path)
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise InputError(f"$.kind: expected one of {sorted(KINDS)}, got {kind!r}")
+    validator = jsonschema.Draft202012Validator(KINDS[kind].schema)
+    errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
     if errors:
         best = jsonschema.exceptions.best_match(errors)
         raise InputError(f"{best.json_path}: {best.message}")
-    return kind
+    return KINDS[kind]
 
 
 def _is_int(x) -> bool:
@@ -165,166 +96,55 @@ def _pairs_to_map(pairs):
 
 
 class LoadedInput:
-    """A parsed input document plus the live structure it describes."""
+    """A parsed input document plus the live structure it describes.
+
+    One subclass per document kind holds everything that differs by kind:
+    `schema`, `build`, `grading`, `basis`, `decode_element` and
+    `encode_nonzero`, and overrides the defaults below where its kind
+    differs. Build one with `load_input`, which checks the schema first.
+    """
 
     def __init__(self, doc):
         self.doc = doc
-        self.kind = validate_document(doc)
-        self._image = None
-        if self.kind == "semigroup":
-            if "generators" in doc:
-                gens = [PartialBijection(_pairs_to_map(g)) for g in doc["generators"]]
-                carrier = doc.get("carrier")
-                self.structure = close_generators(
-                    gens, carrier=None if carrier is None else list(carrier))
-            else:
-                self.structure = FiniteInverseSemigroup(
-                    doc["table"], star_table=doc.get("star"),
-                    zero=doc.get("zero"), labels=doc.get("labels"))
-        elif self.kind == "graph":
-            self.structure = DirectedGraph(
-                doc["vertices"],
-                [(e["id"], e["src"], e["rng"]) for e in doc["edges"]])
-        elif self.kind == "bruck_reilly":
-            g = doc["group"]
-            self.structure = BRContext(GroupTable(g["table"], labels=g.get("labels")),
-                                       doc["theta"])
-        elif self.kind == "toeplitz":
-            self.structure = TQContext(doc["n"])
-        else:
-            self.structure = ShiftBundle(doc["window"])
-
-    # -- live objects -------------------------------------------------------
+        self.structure = self.build(doc)
 
     def context(self):
-        if self.kind == "semigroup":
-            return self.structure
-        if self.kind == "graph":
-            return GraphContext(self.structure)
-        if self.kind == "shift_bundle":
-            return self.structure.context
         return self.structure
 
-    def group_image(self):
-        """(G, sigma) of a semigroup document, computed once per input."""
-        if self._image is None:
-            self._image = max_group_image(self.structure)
-        return self._image
+    def finite_semigroup(self):
+        """(S, (G, sigma)): the whole semigroup tabulated, with its group image."""
+        raise InputError(f"{self.kind} structures are infinite; "
+                         "use a semigroup or graph document")
 
-    def grading(self) -> Grading:
-        if self.kind == "semigroup":
-            G, sigma = self.group_image()
-            return Grading(self.structure, TableGroupOps(G), sigma.__getitem__)
-        if self.kind == "graph":
-            return graph_grading(self.structure)
-        if self.kind == "bruck_reilly":
-            return br_grading(self.structure)
-        if self.kind == "toeplitz":
-            return tq_grading(self.structure)
-        return self.structure.grading()
+    def expectation_domain(self):
+        """Membership predicate of the subsemigroup epsilon restricts to."""
+        return self.grading().kernel_predicate()
 
-    def basis(self, window=2, length=2):
-        """Deterministic element list for truncation-sized checks."""
-        if self.kind == "semigroup":
-            return list(self.structure.nonzero_elements())
-        if self.kind == "graph":
-            return enumerate_pairs(self.structure, length)
-        if self.kind == "bruck_reilly":
-            return br_window(self.structure, window)
-        if self.kind == "toeplitz":
-            return tq_window(self.structure, length)
-        sb = self.structure
-        named = [sb.e, sb.b, sb.a]
-        seen = []
-        for w in named:
-            if w not in seen:
-                seen.append(w)
+    def coset_rep(self, f, grading):
+        """Representative of the one fiber f lives on, for the coset witness."""
+        raise InputError("coset mode needs a 'rep' element for this structure")
+
+    def group_window(self, basis, grading, window):
+        """Group elements the coaction check twists by: the identity, then
+        each other degree on the basis once."""
+        seen = [grading.group.identity]
+        for e in basis:
+            d = grading.degree(e)
+            if d not in seen:
+                seen.append(d)
         return seen
 
-    # -- element codecs -----------------------------------------------------
-
-    def decode_element(self, doc):
-        if self.kind == "semigroup":
-            S = self.structure
-            if isinstance(doc, bool) or not isinstance(doc, (int, str)):
-                raise InputError(f"element must be an index or label, got {doc!r}")
-            if isinstance(doc, str):
-                return S.label_index(doc)
-            if not 0 <= doc < S.n:
-                raise InputError(f"element index {doc} out of range")
-            return doc
-        if self.kind == "graph":
-            return self._decode_pair(doc)
-        if self.kind == "bruck_reilly":
-            ctx = self.structure
-            if not (isinstance(doc, list) and len(doc) == 3):
-                raise InputError(f"element must be [m, a, n], got {doc!r}")
-            m, a, n = doc
-            if not (_is_int(m) and _is_int(n) and (_is_int(a) or isinstance(a, str))):
-                raise InputError(f"element must be [m, a, n] with integer m, n, got {doc!r}")
-            if isinstance(a, str):
-                a = ctx.group.label_index(a)
-            return ctx.element(m, a, n)
-        if self.kind == "toeplitz":
-            ctx = self.structure
-            if not (isinstance(doc, list) and len(doc) == 2 and all(
-                    isinstance(v, list) and all(map(_is_int, v)) for v in doc)):
-                raise InputError(f"element must be [s, t] of integer lists, got {doc!r}")
-            return ctx.element(tuple(doc[0]), tuple(doc[1]))
-        return self._decode_shift(doc)
-
-    def _decode_pair(self, doc):
-        g = self.structure
-        if doc == {"zero": True}:
-            return ZERO_PAIR
-        if not isinstance(doc, dict) or "mu" not in doc or "nu" not in doc:
-            raise InputError(f"element must carry mu and nu edge lists, got {doc!r}")
-        mu, nu = doc["mu"], doc["nu"]
-        if not all(isinstance(leg, (list, tuple)) and all(
-                isinstance(e, str) or _is_int(e) for e in leg) for leg in (mu, nu)):
-            raise InputError(f"mu and nu must be lists of edge ids, got {doc!r}")
-        base = doc.get("vertex")
-        if base is not None and not (isinstance(base, str) or _is_int(base)):
-            raise InputError(f"vertex must be a vertex id, got {base!r}")
-        if base is None:
-            for leg in (mu, nu):
-                if leg:
-                    base = g.src[leg[-1]] if leg[-1] in g.src else None
-                    break
-            if base is None and (mu or nu):
-                raise InputError("unknown edge in mu/nu")
-            if base is None:
-                raise InputError("empty legs need a vertex field")
-        return pair(g, g.path(mu, base=base), g.path(nu, base=base))
-
-    def _decode_shift(self, doc):
-        sb = self.structure
-        named = {"a": sb.a, "e": sb.e, "b": sb.b}
-        if isinstance(doc, str):
-            if doc not in named:
-                raise InputError(f"unknown shift-bundle element {doc!r}; "
-                                 f"use one of {sorted(named)} or a map")
-            return named[doc]
-        if isinstance(doc, dict) and "map" in doc:
-            return PartialBijection(_pairs_to_map(doc["map"]))
-        raise InputError(f"cannot decode shift-bundle element {doc!r}")
+    def certificate_basis(self, window, length):
+        """(truncation, representation) the spectral certificates use."""
+        return Truncation(self.context(), self.basis(window, length)), self.doc.get("rep", "lambda")
 
     def encode_element(self, e):
-        ctx = self.context()
-        if ctx.is_zero(e):
+        if self.context().is_zero(e):
             return {"zero": True}
-        if self.kind == "semigroup":
-            return self.structure.labels[e]
-        if self.kind == "graph":
-            return {"mu": list(e.mu.edges), "nu": list(e.nu.edges),
-                    "vertex": e.mu.base}
-        if self.kind == "bruck_reilly":
-            return [e[0], self.structure.group.labels[e[1]], e[2]]
-        if self.kind == "toeplitz":
-            return [list(e[0]), list(e[1])]
-        return {"map": [[p, q] for p, q in sorted(e.map.items())]}
+        return self.encode_nonzero(e)
 
-    # -- algebra element codecs ---------------------------------------------
+    def encode_degree(self, d):
+        return d
 
     def decode_algebra(self, doc) -> AlgebraElement:
         ctx = self.context()
@@ -344,20 +164,253 @@ class LoadedInput:
         items.sort(key=lambda t: json.dumps(t[0], sort_keys=True, default=str))
         return {"terms": [[ed, sd] for ed, sd in items]}
 
+
+class SemigroupInput(LoadedInput):
+    """A finite inverse semigroup, given by a table or by generating maps."""
+
+    kind = "semigroup"
+    schema = {
+        **_schema(
+            "semigroup",
+            carrier={"type": "array", "items": {"type": ["string", "integer"]}},
+            generators={"type": "array",
+                        "items": {"type": "array",
+                                  "items": {"type": "array", "minItems": 2, "maxItems": 2}}},
+            # cells are checked by FiniteInverseSemigroup.validate, which
+            # names the JSON path; one schema descent per cell costs more
+            # than the whole table check
+            table={"type": "array", "items": {"type": "array"}},
+            star={"type": "array", "items": {"type": "integer"}},
+            zero={"type": ["integer", "null"]},
+            labels={"type": "array", "items": {"type": "string"}}),
+        "oneOf": [{"required": ["generators"]}, {"required": ["table"]}],
+    }
+
+    def build(self, doc):
+        if "generators" in doc:
+            gens = [PartialBijection(_pairs_to_map(g)) for g in doc["generators"]]
+            carrier = doc.get("carrier")
+            return close_generators(gens, carrier=None if carrier is None else list(carrier))
+        return FiniteInverseSemigroup(doc["table"], star_table=doc.get("star"),
+                                      zero=doc.get("zero"), labels=doc.get("labels"))
+
+    @functools.cached_property
+    def group_image(self):
+        """(G, sigma), computed once per input."""
+        return max_group_image(self.structure)
+
+    def finite_semigroup(self):
+        return self.structure, self.group_image
+
+    def grading(self) -> Grading:
+        G, sigma = self.group_image
+        return Grading(self.structure, TableGroupOps(G), sigma.__getitem__)
+
+    def basis(self, window=2, length=2):
+        return list(self.structure.nonzero_elements())
+
+    def decode_element(self, doc):
+        S = self.structure
+        if isinstance(doc, bool) or not isinstance(doc, (int, str)):
+            raise InputError(f"element must be an index or label, got {doc!r}")
+        if isinstance(doc, str):
+            return S.label_index(doc)
+        if not 0 <= doc < S.n:
+            raise InputError(f"element index {doc} out of range")
+        return doc
+
+    def encode_nonzero(self, e):
+        return self.structure.labels[e]
+
     def encode_degree(self, d):
-        if isinstance(d, tuple) and d and all(isinstance(x, tuple) for x in d):
-            from .words import word_to_json
-            return word_to_json(d)
-        if isinstance(d, tuple):
-            return list(d)
-        if self.kind == "semigroup":
-            return self.group_image()[0].labels[d]
-        return d
+        return self.group_image[0].labels[d]
+
+
+class GraphInput(LoadedInput):
+    """The graph inverse semigroup of a finite directed graph."""
+
+    kind = "graph"
+    schema = _schema(
+        "graph", ("vertices", "edges"),
+        vertices={"type": "array", "items": _VERTEX, "minItems": 1},
+        edges={"type": "array",
+               "items": {"type": "object",
+                         "properties": {"id": {"type": ["string", "integer"]},
+                                        "src": _VERTEX, "rng": _VERTEX},
+                         "required": ["id", "src", "rng"],
+                         "additionalProperties": False}})
+
+    def build(self, doc):
+        return DirectedGraph(doc["vertices"],
+                             [(e["id"], e["src"], e["rng"]) for e in doc["edges"]])
+
+    def context(self):
+        return GraphContext(self.structure)
+
+    def finite_semigroup(self):
+        """Every pair of paths, which is finite exactly when the graph is acyclic."""
+        elems = enumerate_pairs(self.structure, longest_path(self.structure),
+                                include_zero=True)
+        S = materialize_context(self.context(), elems, labels=[repr(e) for e in elems])
+        return S, max_group_image(S)
+
+    def grading(self) -> Grading:
+        return graph_grading(self.structure)
+
+    def basis(self, window=2, length=2):
+        return enumerate_pairs(self.structure, length)
+
+    def decode_element(self, doc):
+        g = self.structure
+        if doc == {"zero": True}:
+            return ZERO_PAIR
+        if not isinstance(doc, dict) or "mu" not in doc or "nu" not in doc:
+            raise InputError(f"element must carry mu and nu edge lists, got {doc!r}")
+        mu, nu = doc["mu"], doc["nu"]
+        if not all(isinstance(leg, (list, tuple)) and all(
+                isinstance(e, str) or _is_int(e) for e in leg) for leg in (mu, nu)):
+            raise InputError(f"mu and nu must be lists of edge ids, got {doc!r}")
+        base = doc.get("vertex")
+        if base is not None and not (isinstance(base, str) or _is_int(base)):
+            raise InputError(f"vertex must be a vertex id, got {base!r}")
+        if base is None:
+            leg = mu or nu
+            if not leg:
+                raise InputError("empty legs need a vertex field")
+            if leg[-1] not in g.src:
+                raise InputError("unknown edge in mu/nu")
+            base = g.src[leg[-1]]
+        return pair(g, g.path(mu, base=base), g.path(nu, base=base))
+
+    def encode_nonzero(self, e):
+        return {"mu": list(e.mu.edges), "nu": list(e.nu.edges), "vertex": e.mu.base}
+
+    def encode_degree(self, d):
+        return word_to_json(d)
+
+
+class BruckReillyInput(LoadedInput):
+    """The Bruck-Reilly extension BR(G, theta) of a finite group."""
+
+    kind = "bruck_reilly"
+    schema = _schema(
+        "bruck_reilly", ("group", "theta"),
+        group={"type": "object",
+               "properties": {"table": {"type": "array",
+                                        "items": {"type": "array",
+                                                  "items": {"type": "integer"}}},
+                              "labels": {"type": "array", "items": {"type": "string"}}},
+               "required": ["table"]},
+        theta={"type": "array", "items": {"type": "integer"}})
+
+    def build(self, doc):
+        g = doc["group"]
+        return BRContext(GroupTable(g["table"], labels=g.get("labels")), doc["theta"])
+
+    def coset_rep(self, f, grading):
+        degrees = {grading.degree(s) for s in f.terms}
+        if len(degrees) != 1:
+            raise InputError("coset witness needs a single-fiber element")
+        return br_coset_rep(self.structure, degrees.pop())
+
+    def group_window(self, basis, grading, window):
+        return range(-window, window + 1)
+
+    def grading(self) -> Grading:
+        return br_grading(self.structure)
+
+    def basis(self, window=2, length=2):
+        return br_window(self.structure, window)
+
+    def decode_element(self, doc):
+        if not (isinstance(doc, list) and len(doc) == 3):
+            raise InputError(f"element must be [m, a, n], got {doc!r}")
+        m, a, n = doc
+        if not (_is_int(m) and _is_int(n) and (_is_int(a) or isinstance(a, str))):
+            raise InputError(f"element must be [m, a, n] with integer m, n, got {doc!r}")
+        if isinstance(a, str):
+            a = self.structure.group.label_index(a)
+        return self.structure.element(m, a, n)
+
+    def encode_nonzero(self, e):
+        return [e[0], self.structure.group.labels[e[1]], e[2]]
+
+
+class ToeplitzInput(LoadedInput):
+    """Nica's Toeplitz inverse semigroup of (Z^n, N^n)."""
+
+    kind = "toeplitz"
+    schema = _schema("toeplitz", ("n",), n={"type": "integer", "minimum": 1})
+
+    def build(self, doc):
+        return TQContext(doc["n"])
+
+    def grading(self) -> Grading:
+        return tq_grading(self.structure)
+
+    def basis(self, window=2, length=2):
+        return tq_window(self.structure, length)
+
+    def decode_element(self, doc):
+        if not (isinstance(doc, list) and len(doc) == 2 and all(
+                isinstance(v, list) and all(map(_is_int, v)) for v in doc)):
+            raise InputError(f"element must be [s, t] of integer lists, got {doc!r}")
+        return self.structure.element(tuple(doc[0]), tuple(doc[1]))
+
+    def encode_nonzero(self, e):
+        return [list(e[0]), list(e[1])]
+
+    def encode_degree(self, d):
+        return list(d)
+
+
+class ShiftBundleInput(LoadedInput):
+    """The truncated shift bundle of Example 6.2."""
+
+    kind = "shift_bundle"
+    schema = _schema("shift_bundle", ("window",), window={"type": "integer", "minimum": 1})
+
+    def build(self, doc):
+        return ShiftBundle(doc["window"])
+
+    def context(self):
+        return self.structure.context
+
+    def expectation_domain(self):
+        return self.structure.h_member
+
+    def certificate_basis(self, window, length):
+        return Truncation(None, self.structure.action_points), "action"
+
+    def grading(self) -> Grading:
+        return self.structure.grading()
+
+    def basis(self, window=2, length=2):
+        return [self.structure.e, self.structure.b, self.structure.a]
+
+    def decode_element(self, doc):
+        sb = self.structure
+        named = {"a": sb.a, "e": sb.e, "b": sb.b}
+        if isinstance(doc, str):
+            if doc not in named:
+                raise InputError(f"unknown shift-bundle element {doc!r}; "
+                                 f"use one of {sorted(named)} or a map")
+            return named[doc]
+        if isinstance(doc, dict) and "map" in doc:
+            return PartialBijection(_pairs_to_map(doc["map"]))
+        raise InputError(f"cannot decode shift-bundle element {doc!r}")
+
+    def encode_nonzero(self, e):
+        return {"map": [[p, q] for p, q in sorted(e.map.items())]}
+
+
+KINDS = {cls.kind: cls for cls in (SemigroupInput, GraphInput, BruckReillyInput,
+                                   ToeplitzInput, ShiftBundleInput)}
 
 
 def load_input(path_or_doc) -> LoadedInput:
     if isinstance(path_or_doc, dict):
-        return LoadedInput(path_or_doc)
+        return validate_document(path_or_doc)(path_or_doc)
     try:
         with open(path_or_doc, "r", encoding="ascii") as fh:
             doc = json.load(fh)
@@ -365,7 +418,7 @@ def load_input(path_or_doc) -> LoadedInput:
         raise InputError(f"cannot read input: {exc}") from None
     except (ValueError, UnicodeDecodeError) as exc:
         raise InputError(f"input is not valid JSON: {exc}") from None
-    return LoadedInput(doc)
+    return validate_document(doc)(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +438,8 @@ def load_fixture(name: str) -> LoadedInput:
     except (FileNotFoundError, OSError):
         raise InputError(f"no fixture named {name!r}; "
                          f"available: {', '.join(list_fixtures())}") from None
-    return LoadedInput(json.loads(text))
+    doc = json.loads(text)
+    return validate_document(doc)(doc)
 
 
 def dump_report(obj) -> str:

@@ -535,23 +535,24 @@ def coaction_unitary_check(grading: Grading, B: Truncation, group_window, T) -> 
     for t in T:
         if ctx.is_zero(t):
             continue
+        dt = grading.degree(t)
         for s in B.elements:
             step = _regular_step(ctx, t, s)
+            if step is None:
+                zero_cases += len(group_window)
+                continue
+            if step not in B:
+                skipped += len(group_window)
+                continue
+            ds_inv, dstep = G.inv(grading.degree(s)), grading.degree(step)
             for g in group_window:
-                if step is None:
-                    zero_cases += 1
-                    continue
-                if step not in B:
-                    skipped += 1
-                    continue
                 checked += 1
                 # W* then Lambda(t) x I then W
-                h = G.mul(G.inv(grading.degree(s)), g)
-                got = (step, G.mul(grading.degree(step), h))
-                want = (step, G.mul(grading.degree(t), g))
+                got = G.mul(dstep, G.mul(ds_inv, g))
+                want = G.mul(dt, g)
                 if got != want:
                     violations.append({"t": repr(t), "s": repr(s), "g": str(g),
-                                       "got": str(got[1]), "want": str(want[1])})
+                                       "got": str(got), "want": str(want)})
     return {"checked": checked, "skipped": skipped, "zero_cases": zero_cases,
             "violations": violations, "ok": not violations}
 

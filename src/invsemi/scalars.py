@@ -195,14 +195,6 @@ def principal_sqrt(x):
     return cmath.sqrt(complex(x))
 
 
-def scalar_isclose(x, y, tol=1e-12) -> bool:
-    return abs(to_complex(x) - to_complex(y)) <= tol
-
-
-def fraction_str(q: Fraction) -> str:
-    return str(q)
-
-
 def scalar_to_json(x):
     if isinstance(x, QQi):
         return {"re": str(x.re), "im": str(x.im)}

@@ -30,22 +30,11 @@ def word_inv(u) -> tuple:
     return tuple((x, -s) for x, s in reversed(tuple(u)))
 
 
-def word_str(w) -> str:
-    if not w:
-        return "1"
-    return ".".join(f"{x}" if s == 1 else f"{x}^-1" for x, s in w)
-
-
 def word_to_json(w):
     return [[x, s] for x, s in w]
 
 
 def word_from_json(data) -> tuple:
-    if not isinstance(data, list):
-        raise InputError("word must be a list of [letter, sign] pairs")
-    out = []
-    for item in data:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise InputError(f"bad word letter: {item!r}")
-        out.append((item[0], int(item[1])))
-    return free_reduce(out)
+    """The reduced word of [letter, sign] pairs, as the `s` and `t` payload
+    schemas of `jsonio` admit them."""
+    return free_reduce((x, int(s)) for x, s in data)

@@ -225,6 +225,16 @@ def test_factorize_rejects_junction_cancellation(capsys, tmp_path):
     assert "junction" in err
 
 
+def test_factorize_string_edge_ids(capsys, tmp_path):
+    doc = {"kind": "graph", "vertices": ["v"],
+           "edges": [{"id": "e", "src": "v", "rng": "v"}],
+           "s": [["e", 1]], "t": [],
+           "element": {"terms": [[{"mu": ["e"], "nu": [], "vertex": "v"}, "4"]]}}
+    code, out, _ = run(capsys, ["factorize"], doc, tmp_path)
+    assert code == 0
+    assert json.loads(out)["s"] == [["e", 1]]
+
+
 def test_ql_check(capsys):
     code, out, _ = run(capsys, ["ql-check", "--input", "toeplitz_z2",
                                 "--length", "3"])
@@ -401,6 +411,23 @@ def test_infinite_structure_rejected(capsys):
     assert "infinite" in err
 
 
+@pytest.mark.parametrize("command", ["max-group-image", "e-unitary"])
+def test_cyclic_graph_group_image_names_the_cycle(capsys, command):
+    for length in ("0", "2"):
+        code, out, err = run(capsys, [command, "--input", "bouquet1", "--length", length])
+        assert code == 2
+        assert out == ""
+        assert "cycle through edges [0]" in err
+
+
+@pytest.mark.parametrize("command", ["max-group-image", "e-unitary"])
+def test_acyclic_graph_group_image_ignores_length(capsys, command):
+    # the whole semigroup is enumerated, whatever the length bound
+    outs = {run(capsys, [command, "--input", "two_parallel", "--length", length])[:2]
+            for length in ("0", "1", "5")}
+    assert len(outs) == 1 and outs.pop()[0] == 0
+
+
 def test_text_format(capsys):
     code, out, _ = run(capsys, ["e-unitary", "--input", "clifford_z2",
                                 "--format", "text"])
@@ -443,6 +470,29 @@ def test_out_of_range_zero_star_or_labels_is_input_error(capsys, tmp_path, field
     assert code == 2
     assert out == ""
     assert path in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, payload, path", [
+    ("factorize", {"s": [[0, "x"]], "t": []}, "$.s[0][1]"),
+    ("factorize", {"s": [[0, 1.7]], "t": []}, "$.s[0][1]"),
+    ("factorize", {"s": [], "t": [[[0], 1]]}, "$.t[0][0]"),
+    ("epsilon", {"subsemigroup": 5}, "$.subsemigroup"),
+    ("sos-witness", {"mode": "cos"}, "$.mode"),
+    ("product", {"elements": [{"mu": [0], "nu": []}]}, "$.elements"),
+])
+def test_malformed_payload_is_input_error(capsys, tmp_path, command, payload, path):
+    doc = dict(BOUQUET2, element={"terms": [[{"mu": [0], "nu": []}, "1"]]}, **payload)
+    code, out, err = run(capsys, [command], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert path in err and "Traceback" not in err
+
+
+def test_unhashable_kind_is_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, ["idempotents"], {"kind": ["graph"]}, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "$.kind" in err
 
 
 def test_float_group_table_cell_is_input_error(capsys, tmp_path):

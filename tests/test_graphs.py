@@ -17,6 +17,7 @@ from invsemi.graphs import (
     enumerate_pairs,
     fiber_support,
     grading_phi,
+    longest_path,
     multiply_pairs,
     orthogonality_check,
     pair,
@@ -95,6 +96,24 @@ def test_enumerate_pairs_counts():
     g = two_vertex()
     # legs grouped by source: {u, x, ex} and {v, e, ee}
     assert len(enumerate_pairs(g, 2)) == 18
+
+
+def test_longest_path_of_acyclic_graphs():
+    assert longest_path(DirectedGraph(["u"], [])) == 0
+    chain = DirectedGraph(["a", "b", "c", "d"],
+                          [(0, "a", "b"), (1, "b", "c"), (2, "c", "d"), (3, "a", "d")])
+    assert longest_path(chain) == 3
+    assert max(len(p) for p in paths_up_to(chain, 10)) == 3
+
+
+def test_longest_path_names_a_cycle():
+    with pytest.raises(InputError, match=r"edges \['e'\]"):
+        longest_path(two_vertex())
+    # the cycle x, y sits past the edge w into it, and z leaves it
+    g = DirectedGraph(["s", "u", "v", "t"], [("w", "s", "u"), ("x", "u", "v"),
+                                             ("y", "v", "u"), ("z", "v", "t")])
+    with pytest.raises(InputError, match=r"edges \['x', 'y'\]"):
+        longest_path(g)
 
 
 def test_pair_validator():

@@ -12,7 +12,6 @@ from invsemi.scalars import (
     is_exact,
     principal_sqrt,
     scalar_from_json,
-    scalar_isclose,
     scalar_to_json,
     to_complex,
 )
@@ -101,8 +100,3 @@ def test_scalar_json_roundtrip():
         assert back == x and is_exact(back)
     y = scalar_from_json(scalar_to_json(0.5 + 0.25j))
     assert y == 0.5 + 0.25j and not is_exact(y)
-
-
-def test_scalar_isclose():
-    assert scalar_isclose(QQi(1, 2), 1 + 2j)
-    assert not scalar_isclose(QQi(1), QQi(1, 1))
