@@ -195,15 +195,21 @@ class FiniteInverseSemigroup(SemigroupContext):
             raise InputError(f"unknown element label: {label!r}") from None
 
     def _derive_star(self):
-        star = []
-        for s in range(self.n):
-            found = [t for t in range(self.n)
-                     if self.table[self.table[s][t]][s] == s
-                     and self.table[self.table[t][s]][t] == t]
+        """Inverses along the reach tree of a generating set: a scan finds g*
+        for each generator g, and each reached s = p g gets s* = g* p*.
+        validate() proves the result; on a table that is not inverse it
+        fails there, or here when a generator's inverse is not unique."""
+        t = self.table
+        gens, steps = _generating_set(t)
+        star = [None] * self.n
+        for g in gens:
+            found = [x for x in range(self.n) if t[t[g][x]][g] == g and t[t[x][g]][x] == x]
             if len(found) != 1:
                 raise InputError(
-                    f"element {s} has {len(found)} generalized inverses, expected 1")
-            star.append(found[0])
+                    f"element {g} has {len(found)} generalized inverses, expected 1")
+            star[g] = found[0]
+        for s, p, g in steps:
+            star[s] = t[star[g]][star[p]]
         return star
 
     def validate(self):
@@ -263,15 +269,17 @@ def _check_cells(table, n, path):
 
 
 def _generating_set(t):
-    """A greedy generating set of the magma with product table t.
+    """A greedy generating set of the magma with product table t, and how
+    each other element was reached.
 
     Scans elements in index order; one not yet reached becomes a generator,
     and the reached set is closed under right multiplication by every
     generator so far. Every element is then a left-normed product
-    (...((g1 g2) g3)...) gk of generators.
+    (...((g1 g2) g3)...) gk of generators. Returns the generators and, in
+    reach order, a step (s, p, g) with s = p g for each non-generator s.
     """
     n = len(t)
-    gens, order = [], []
+    gens, order, steps = [], [], []
     reached = [False] * n
     done = [0] * n          # how many generators order[i] was multiplied by
     for x in range(n):
@@ -289,9 +297,10 @@ def _generating_set(t):
                 if not reached[p]:
                     reached[p] = True
                     order.append(p)
+                    steps.append((p, r, g))
             done[r] = len(gens)
             i += 1
-    return gens
+    return gens, steps
 
 
 def associativity_witness(t):
@@ -302,7 +311,7 @@ def associativity_witness(t):
     generating set. Costs n^2 per generator instead of n^3 overall.
     """
     n = len(t)
-    for g in _generating_set(t):
+    for g in _generating_set(t)[0]:
         row_g = t[g]
         for x in range(n):
             row_x = t[x]

@@ -20,8 +20,12 @@ Every size takes the same path, and the result is deterministic.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -41,14 +45,9 @@ class Truncation:
 
     def __init__(self, context, elements):
         self.context = context
-        elems = []
-        for e in elements:
-            if context is not None and context.is_zero(e):
-                continue
-            elems.append(e)
-        self.elements = elems
+        self.elements = [e for e in elements if context is None or not context.is_zero(e)]
         self.index = {}
-        for i, e in enumerate(elems):
+        for i, e in enumerate(self.elements):
             if e in self.index:
                 raise InputError(f"duplicate basis element {e!r}")
             self.index[e] = i
@@ -61,125 +60,147 @@ class Truncation:
 
 
 class RepMatrix:
-    """Square sparse matrix with at most one entry per position.
+    """Square sparse matrix, immutable: COO arrays over a table of values.
 
-    Entries stay exact (QQi) until a float coefficient appears; identity
-    checks compare entry dicts, numerics go through to_dense or the block
-    solver behind min_eig.
+    Entry k sits at (rows[k], cols[k]) and holds values[vids[k]]. Positions
+    are distinct and sorted row-major, no entry is zero, and `values` holds
+    each distinct scalar once: QQi, or complex once a float coefficient
+    appears. Identity checks stay exact; numerics call to_complex once per
+    distinct value, so each entry converts exactly as on its own.
     """
 
-    __slots__ = ("n", "entries", "dropped")
+    __slots__ = ("n", "rows", "cols", "vids", "values", "dropped", "_dict")
 
-    def __init__(self, n, entries=None, dropped=0):
-        self.n = n
-        self.entries = {}
-        self.dropped = dropped
-        if entries:
-            for (i, j), c in (entries.items() if isinstance(entries, dict) else entries):
-                self.add_entry(i, j, c)
+    def __init__(self, n, entries=(), dropped=0):
+        pairs = list(entries.items() if isinstance(entries, dict) else entries)
+        self._consolidate(n, [i for (i, _), _ in pairs], [j for (_, j), _ in pairs],
+                          range(len(pairs)), [as_scalar(c) for _, c in pairs], dropped)
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, {(i, i): QQi(1) for i in range(n)})
+    def _from_coo(cls, n, rows, cols, vids, values, dropped=0):
+        M = cls.__new__(cls)
+        M._consolidate(n, rows, cols, vids, values, dropped)
+        return M
 
-    def add_entry(self, i, j, c):
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise InputError(f"entry ({i},{j}) outside a {self.n}-dim matrix")
-        c = as_scalar(c)
-        key = (i, j)
-        if key in self.entries:
-            c = self.entries[key] + c
-        if c == 0:
-            self.entries.pop(key, None)
-        else:
-            self.entries[key] = c
+    def _consolidate(self, n, rows, cols, vids, values, dropped):
+        """Sort positions row-major, sum repeats in insertion order, drop
+        zeros, and keep one id per distinct value of each mode."""
+        rows, cols, vids = (np.asarray(a, dtype=np.int64) for a in (rows, cols, vids))
+        bad = np.flatnonzero((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n))[:1]
+        if len(bad):
+            raise InputError(f"entry ({rows[bad[0]]},{cols[bad[0]]}) outside a {n}-dim matrix")
+        order = np.argsort(rows * n + cols, kind="stable")
+        keys, vids = (rows * n + cols)[order], vids[order]
+        start = np.flatnonzero(np.diff(keys, prepend=-1))
+        ends = np.append(start[1:], len(keys))
+        multi = np.flatnonzero(ends - start > 1)
+        flat, values = vids.tolist(), list(values)
+        repeats = [tuple(flat[s:e]) for s, e in zip(start[multi].tolist(), ends[multi].tolist())]
+        runs = dict.fromkeys(repeats)   # equal runs of ids share one sum
+        for run in runs:
+            runs[run] = len(values)
+            values.append(reduce(operator.add, map(values.__getitem__, run)))
+        summed = vids[start]
+        summed[multi] = [runs[run] for run in repeats]
+        table = {}
+        canon = np.array([table.setdefault((is_exact(c), c), len(table)) if c else -1
+                          for c in values], dtype=np.int64)[summed]
+        keep = canon >= 0
+        used, self.vids = np.unique(canon[keep], return_inverse=True)
+        distinct = [c for _, c in table]
+        self.values = [distinct[u] for u in used.tolist()]
+        kept = order[start[keep]]
+        self.n, self.rows, self.cols = n, rows[kept], cols[kept]
+        self.dropped, self._dict = dropped, None
+
+    @property
+    def entries(self):
+        """Read-only {(i, j): value} mapping; its len is the nnz."""
+        return _Entries(self)
+
+    def _as_dict(self):
+        if self._dict is None:
+            self._dict = dict(zip(zip(self.rows.tolist(), self.cols.tolist()),
+                                  map(self.values.__getitem__, self.vids.tolist())))
+        return self._dict
+
+    def _floats(self) -> np.ndarray:
+        return np.array([to_complex(c) for c in self.values], dtype=complex)[self.vids]
 
     def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.entries.values())
+        return all(is_exact(c) for c in self.values)
 
     def __eq__(self, other):
         if not isinstance(other, RepMatrix):
             return NotImplemented
         return self.n == other.n and self.entries == other.entries
 
-    def __hash__(self):
-        raise TypeError("RepMatrix is unhashable")
-
-    def approx_eq(self, other, tol=1e-12) -> bool:
-        keys = set(self.entries) | set(other.entries)
-        return self.n == other.n and all(
-            abs(to_complex(self.entries.get(k, 0j) or 0j)
-                - to_complex(other.entries.get(k, 0j) or 0j)) <= tol
-            for k in keys)
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise InputError("dimension mismatch")
-        out = RepMatrix(self.n, dict(self.entries), self.dropped + other.dropped)
-        for (i, j), c in other.entries.items():
-            out.add_entry(i, j, c)
-        return out
-
-    def scale(self, c):
-        out = RepMatrix(self.n, dropped=self.dropped)
-        c = as_scalar(c)
-        if c != 0:
-            for k, v in self.entries.items():
-                out.entries[k] = v * c
-        return out
-
     def __mul__(self, other):
         if not isinstance(other, RepMatrix):
-            return self.scale(other)
+            return NotImplemented
         if self.n != other.n:
             raise InputError("dimension mismatch")
         by_row = {}
         for (k, j), c in other.entries.items():
             by_row.setdefault(k, []).append((j, c))
-        out = RepMatrix(self.n, dropped=self.dropped + other.dropped)
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                out.add_entry(i, j, a * b)
-        return out
+        return RepMatrix(self.n, [((i, j), a * b) for (i, k), a in self.entries.items()
+                                  for j, b in by_row.get(k, ())],
+                         self.dropped + other.dropped)
 
     def adjoint(self):
-        out = RepMatrix(self.n, dropped=self.dropped)
-        for (i, j), c in self.entries.items():
-            out.entries[(j, i)] = conj(c)
-        return out
+        return RepMatrix._from_coo(self.n, self.cols, self.rows, self.vids,
+                                   [conj(c) for c in self.values], self.dropped)
+
+    def _asymmetry(self, tol=0.0):
+        """First position (i, j), row-major, where M differs from its adjoint,
+        or None. An exact pair must match exactly, a pair with a float within
+        tol, and an entry without a partner must have |c| <= tol."""
+        if not len(self.vids):
+            return None
+        n, rows, cols, vids = self.n, self.rows, self.cols, self.vids
+        keys, mirror = rows * n + cols, cols * n + rows
+        at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
+        found, partner = keys[at] == mirror, vids[at]
+        exact = np.array([is_exact(c) for c in self.values], dtype=bool)
+        ids = {c: k for k, c in enumerate(self.values) if is_exact(c)}
+        conj_id = np.array([ids.get(c.conjugate(), -1) if is_exact(c) else -1
+                            for c in self.values], dtype=np.int64)
+        z = self._floats()
+        bad = np.where(found & exact[vids] & exact[partner],
+                       conj_id[partner] != vids,
+                       np.abs(np.where(found, z[at].conj(), 0) - z) > tol)
+        k = np.flatnonzero(bad)
+        return (int(rows[k[0]]), int(cols[k[0]])) if len(k) else None
 
     def is_hermitian(self, tol=0.0) -> bool:
-        for (i, j), c in self.entries.items():
-            d = self.entries.get((j, i))
-            if d is None:
-                if abs(to_complex(c)) > tol:
-                    return False
-            elif is_exact(c) and is_exact(d):
-                if d.conjugate() != c:
-                    return False
-            elif abs(to_complex(d).conjugate() - to_complex(c)) > tol:
-                return False
-        return True
+        return self._asymmetry(tol) is None
 
     def max_abs(self) -> float:
-        return max((abs(to_complex(c)) for c in self.entries.values()), default=0.0)
+        return float(np.abs(self._floats()).max(initial=0.0))
 
     def to_dense(self) -> np.ndarray:
         M = np.zeros((self.n, self.n), dtype=complex)
-        for (i, j), c in self.entries.items():
-            M[i, j] = to_complex(c)
+        M[self.rows, self.cols] = self._floats()
         return M
 
-    def to_coo_json(self) -> dict:
-        from .scalars import scalar_to_json
-        coords = sorted(self.entries)
-        return {"dim": self.n,
-                "dropped": self.dropped,
-                "entries": [[i, j, scalar_to_json(self.entries[(i, j)])]
-                            for i, j in coords]}
-
     def __repr__(self):
-        return f"RepMatrix({self.n}x{self.n}, {len(self.entries)} entries, {self.dropped} dropped)"
+        return f"RepMatrix({self.n}x{self.n}, {len(self.vids)} entries, {self.dropped} dropped)"
+
+
+class _Entries(Mapping):
+    """A RepMatrix's entries: len is the nnz, the dict is built on first use."""
+
+    def __init__(self, m):
+        self._m = m
+
+    def __len__(self):
+        return len(self._m.vids)
+
+    def __getitem__(self, key):
+        return self._m._as_dict()[key]
+
+    def __iter__(self):
+        return iter(self._m._as_dict())
 
 
 def _as_terms(f, context):
@@ -191,42 +212,38 @@ def _as_terms(f, context):
     return {f: QQi(1)}
 
 
+def _term_matrix(n, terms, hits) -> RepMatrix:
+    """The matrix of sum_s c_s T_s: hits(s) yields (i, j) for each column j
+    that T_s sends to row i, with i = -1 when the image leaves the basis."""
+    found = chain.from_iterable((i, j, t) for t, s in enumerate(terms) for i, j in hits(s))
+    rows, cols, tids = np.fromiter(found, dtype=np.int64).reshape(-1, 3).T
+    inside = rows >= 0
+    return RepMatrix._from_coo(n, rows[inside], cols[inside], tids[inside],
+                               [as_scalar(c) for c in terms.values()], int((~inside).sum()))
+
+
 def lambda_matrix(f, B: Truncation) -> RepMatrix:
     """Left regular matrix: entry (ab, b) += f(a) when a*a b = b and ab in B."""
-    ctx = B.context
-    terms = _as_terms(f, ctx)
-    M = RepMatrix(len(B))
-    for a, coeff in terms.items():
+    ctx, index = B.context, B.index
+
+    def hits(a):
         dom = ctx.product(ctx.star(a), a)
-        for j, b in enumerate(B.elements):
-            if ctx.product(dom, b) != b:
-                continue
-            t = ctx.product(a, b)
-            i = B.index.get(t)
-            if i is None:
-                M.dropped += 1
-            else:
-                M.add_entry(i, j, coeff)
-    return M
+        return ((index.get(ctx.product(a, b), -1), j)
+                for j, b in enumerate(B.elements) if ctx.product(dom, b) == b)
+
+    return _term_matrix(len(B), _as_terms(f, ctx), hits)
 
 
 def rho_matrix(a, B: Truncation) -> RepMatrix:
     """Right regular matrix: entry (ba, b) += coeff when b a a* = b and ba in B."""
-    ctx = B.context
-    terms = _as_terms(a, ctx)
-    M = RepMatrix(len(B))
-    for s, coeff in terms.items():
+    ctx, index = B.context, B.index
+
+    def hits(s):
         ran = ctx.product(s, ctx.star(s))
-        for j, b in enumerate(B.elements):
-            if ctx.product(b, ran) != b:
-                continue
-            t = ctx.product(b, s)
-            i = B.index.get(t)
-            if i is None:
-                M.dropped += 1
-            else:
-                M.add_entry(i, j, coeff)
-    return M
+        return ((index.get(ctx.product(b, s), -1), j)
+                for j, b in enumerate(B.elements) if ctx.product(b, ran) == b)
+
+    return _term_matrix(len(B), _as_terms(a, ctx), hits)
 
 
 def action_matrix(f, window) -> RepMatrix:
@@ -236,71 +253,51 @@ def action_matrix(f, window) -> RepMatrix:
     else:
         points = list(window)
         index = {p: i for i, p in enumerate(points)}
-    terms = f.terms if isinstance(f, AlgebraElement) else {f: QQi(1)}
-    M = RepMatrix(len(points))
-    for s, coeff in terms.items():
+
+    def hits(s):
         if not isinstance(s, PartialBijection):
             raise InputError("action matrices need partial bijection support")
-        for j, p in enumerate(points):
-            q = s.map.get(p)
-            if q is None:
-                continue
-            i = index.get(q)
-            if i is None:
-                M.dropped += 1
-            else:
-                M.add_entry(i, j, coeff)
-    return M
+        return ((index.get(s.map[p], -1), j) for j, p in enumerate(points) if p in s.map)
+
+    return _term_matrix(len(points), _as_terms(f, None), hits)
 
 
 # ---------------------------------------------------------------------------
 # spectral certificates
 # ---------------------------------------------------------------------------
 
-def _require_hermitian(M: RepMatrix, tol=1e-10):
-    if not M.is_hermitian(tol=tol):
-        bad = next(((i, j) for (i, j), c in M.entries.items()
-                    if abs(to_complex(c)
-                           - to_complex(M.entries.get((j, i), 0j) or 0j).conjugate()) > tol),
-                   None)
-        raise NotHermitian(f"matrix is not Hermitian near entry {bad}", witness=bad)
-
-
 def _blocks(M: RepMatrix):
     """Connected components of the entry graph of M, in local coordinates.
 
     Returns (blocks, free): each block is (size, rows, cols, values) with
-    indices renumbered 0..size-1 in their original order, and free counts the
-    indices no entry touches (zero rows and columns, eigenvalue 0).
+    indices renumbered 0..size-1 in their original order, blocks ordered by
+    their smallest index, and free counts the indices no entry touches (zero
+    rows and columns, eigenvalue 0). Edges hook the larger root of their ends
+    to the smaller, pointer jumping flattens the forest, until every edge
+    lies in one tree, rooted at the smallest index of its component.
     """
-    parent = {}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in M.entries:
-        parent.setdefault(i, i)
-        parent.setdefault(j, j)
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    size, local = {}, {}
-    for i in sorted(parent):
-        root = find(i)
-        local[i] = size.get(root, 0)
-        size[root] = local[i] + 1
-    parts = {root: ([], [], []) for root in size}
-    for (i, j), c in M.entries.items():
-        rows, cols, vals = parts[find(i)]
-        rows.append(local[i])
-        cols.append(local[j])
-        vals.append(to_complex(c))
-    blocks = [(size[root], np.array(rows), np.array(cols), np.array(vals))
-              for root, (rows, cols, vals) in parts.items()]
-    return blocks, M.n - len(parent)
+    rows, cols = M.rows, M.cols
+    root = np.arange(M.n)
+    while True:
+        while not np.array_equal(root[root], root):
+            root = root[root]
+        ri, rj = root[rows], root[cols]
+        if np.array_equal(ri, rj):
+            break
+        low = np.minimum(ri, rj)
+        np.minimum.at(root, ri, low)
+        np.minimum.at(root, rj, low)
+    touched = np.zeros(M.n, dtype=bool)
+    touched[rows] = touched[cols] = True
+    idx = np.flatnonzero(touched)
+    sizes = np.unique(root[idx], return_counts=True)[1]
+    local = np.empty(M.n, dtype=np.int64)
+    local[idx[np.argsort(root[idx], kind="stable")]] = (
+        np.arange(len(idx)) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    by_block = np.argsort(ri, kind="stable")
+    cuts = np.flatnonzero(np.diff(ri[by_block])) + 1
+    parts = (np.split(a[by_block], cuts) for a in (local[rows], local[cols], M._floats()))
+    return [(int(s), *block) for s, *block in zip(sizes, *parts)], M.n - len(idx)
 
 
 def _block_eigvals(size, rows, cols, vals, picks):
@@ -341,20 +338,22 @@ def _extreme_eigvals(M: RepMatrix, picks=(0, -1)):
 def _gram(M: RepMatrix) -> RepMatrix:
     """M* M in floats; its band is at most the lower plus the upper band of M."""
     by_row = {}
-    for (i, j), c in M.entries.items():
-        by_row.setdefault(i, []).append((j, to_complex(c)))
-    G = RepMatrix(M.n)
+    for i, j, a in zip(M.rows.tolist(), M.cols.tolist(), M._floats().tolist()):
+        by_row.setdefault(i, []).append((j, a))
+    G = {}
     for row in by_row.values():
         for j, a in row:
             for k, b in row:
-                G.entries[(j, k)] = G.entries.get((j, k), 0j) + a.conjugate() * b
-    return G
+                G[(j, k)] = G.get((j, k), 0j) + a.conjugate() * b
+    return RepMatrix(M.n, G)
 
 
 def min_eig(M: RepMatrix) -> float:
     """Smallest eigenvalue of a Hermitian M: the minimum over the connected
     blocks of its entry graph, each solved by dense or banded LAPACK."""
-    _require_hermitian(M)
+    bad = M._asymmetry(tol=1e-10)
+    if bad is not None:
+        raise NotHermitian(f"matrix is not Hermitian near entry {bad}", witness=bad)
     if M.n == 0:
         raise InputError("empty matrix has no spectrum")
     return _extreme_eigvals(M, picks=(0,))[0]

@@ -8,6 +8,7 @@ not internal call results.
 
 import json
 import math
+import re
 
 import pytest
 
@@ -301,6 +302,18 @@ def test_psd_accepts_identity(capsys, tmp_path):
     assert json.loads(out)["refuted"] is False
 
 
+def test_psd_names_the_entry_of_an_inexact_adjoint(capsys, tmp_path):
+    # b and its mirror carry 1 and 1 + 10^-12: close as floats, not equal
+    doc = {"kind": "shift_bundle", "window": 5,
+           "element": {"terms": [
+               ["b", "1"],
+               [{"map": [[1, 0], [2, 1], [3, 2], [4, 3], [5, 4]]}, "1000000000001/1000000000000"],
+           ]}}
+    code, out, err = run(capsys, ["psd"], doc, tmp_path)
+    assert code == 2 and out == ""
+    assert re.search(r"not Hermitian near entry \(\d+, \d+\)", err), err
+
+
 def test_norm_bound_shift(capsys, tmp_path):
     doc = {"kind": "shift_bundle", "window": 20,
            "element": {"terms": [["e", "1"], ["a", "-1"]]}}
@@ -459,6 +472,18 @@ def test_non_index_table_cell_is_input_error(capsys, tmp_path, cell):
     assert code == 2
     assert out == ""
     assert "$.table[1][1]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 0], [1, 1]],                     # left-zero band: 0 has two inverses
+    [[0, 0], [0, 0]],                     # null semigroup: 1 has no inverse
+    [[0, 1, 2], [1, 1, 1], [2, 2, 2]],    # {1, 2} a left-zero band plus an identity
+])
+def test_table_without_star_that_is_not_inverse_is_input_error(capsys, tmp_path, table):
+    code, out, err = run(capsys, ["idempotents"], {"kind": "semigroup", "table": table},
+                         tmp_path)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value, path", [

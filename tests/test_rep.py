@@ -3,9 +3,12 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from invsemi.algebra import (AlgebraElement, FreeGroupOps, Grading,
                              IntGroupOps, TableGroupOps, convolve,
@@ -22,7 +25,7 @@ from invsemi.rep import (RepMatrix, Truncation, action_matrix,
                          min_eig, norm_lower_bound, psd_refute,
                          rep_identity_check, rho_matrix)
 import invsemi.rep as rep_module
-from invsemi.scalars import QQi
+from invsemi.scalars import QQi, is_exact, to_complex
 from util import rand_qqi
 
 
@@ -64,48 +67,45 @@ def tridiag_dense(m):
 # RepMatrix arithmetic
 # ---------------------------------------------------------------------------
 
+def identity(n):
+    return RepMatrix(n, {(i, i): QQi(1) for i in range(n)})
+
+
 def test_repmatrix_entry_accumulation():
-    M = RepMatrix(3)
-    M.add_entry(0, 1, "1/2")
-    M.add_entry(0, 1, "1/2")
-    assert M.entries[(0, 1)] == QQi(1)
-    M.add_entry(0, 1, -1)
-    assert (0, 1) not in M.entries
+    half = [((0, 1), "1/2"), ((0, 1), "1/2")]
+    assert RepMatrix(3, half).entries[(0, 1)] == QQi(1)
+    assert (0, 1) not in RepMatrix(3, half + [((0, 1), -1)]).entries
     with pytest.raises(InputError):
-        M.add_entry(3, 0, 1)
+        RepMatrix(3, [((0, 0), 1), ((3, 0), 1)])
 
 
 def test_repmatrix_algebra_matches_numpy():
     rng = random.Random(7)
     for _ in range(10):
-        A = RepMatrix(4)
-        B = RepMatrix(4)
-        for _ in range(6):
-            A.add_entry(rng.randrange(4), rng.randrange(4), rand_qqi(rng))
-            B.add_entry(rng.randrange(4), rng.randrange(4), rand_qqi(rng))
+        A = RepMatrix(4, [((rng.randrange(4), rng.randrange(4)), rand_qqi(rng)) for _ in range(6)])
+        B = RepMatrix(4, [((rng.randrange(4), rng.randrange(4)), rand_qqi(rng)) for _ in range(6)])
         assert np.allclose((A * B).to_dense(), A.to_dense() @ B.to_dense())
-        assert np.allclose((A + B).to_dense(), A.to_dense() + B.to_dense())
-        assert np.allclose(A.scale("1/3").to_dense(), A.to_dense() / 3)
         assert np.allclose(A.adjoint().to_dense(), A.to_dense().conj().T)
         assert (A * B).is_exact()
 
 
 def test_repmatrix_identity_and_eq():
-    I = RepMatrix.identity(3)
-    M = RepMatrix(3, {(i, i): 1 for i in range(3)})
-    assert I == M and I.approx_eq(M)
-    M.add_entry(0, 0, 1e-14)
-    assert I != M and I.approx_eq(M, tol=1e-12)
+    I = identity(3)
+    assert I == RepMatrix(3, {(i, i): 1 for i in range(3)})
+    perturbed = RepMatrix(3, [((i, i), 1) for i in range(3)] + [((0, 0), 1e-14)])
+    assert I != perturbed and not perturbed.is_exact()
     assert I.is_hermitian()
 
 
-def test_repmatrix_coo_json_is_sorted():
-    M = RepMatrix(3)
-    M.add_entry(2, 0, 1)
-    M.add_entry(0, 1, QQi("1/2"))
-    blob = M.to_coo_json()
-    assert blob["dim"] == 3
-    assert [e[:2] for e in blob["entries"]] == [[0, 1], [2, 0]]
+def test_exact_hermitian_test_sees_a_1e12_gap():
+    # the pair differs by 1e-12, inside the float tolerance of the solver
+    c = QQi("1000000000001/1000000000000")
+    M = RepMatrix(2, {(0, 1): c, (1, 0): QQi(1)})
+    assert not M.is_hermitian(tol=1e-10)
+    assert RepMatrix(2, {(0, 1): c, (1, 0): c}).is_hermitian()
+    with pytest.raises(NotHermitian) as err:
+        min_eig(M)
+    assert err.value.witness == (0, 1) and "(0, 1)" in str(err.value)
 
 
 def test_truncation_filters_zero_and_rejects_duplicates():
@@ -227,7 +227,7 @@ def test_min_eig_matches_closed_form():
 
 
 def test_min_eig_identity_and_empty():
-    assert min_eig(RepMatrix.identity(5)) == pytest.approx(1.0)
+    assert min_eig(identity(5)) == pytest.approx(1.0)
     with pytest.raises(InputError):
         min_eig(RepMatrix(0))
 
@@ -285,14 +285,13 @@ def test_zero_element_has_zero_norm_bound():
 
 def banded_hermitian(rng, n, band):
     """Random complex Hermitian matrix with every diagonal up to `band` full."""
-    M = RepMatrix(n)
+    entries = []
     for i in range(n):
-        M.add_entry(i, i, QQi(rng.randint(-9, 9)))
+        entries.append(((i, i), QQi(rng.randint(-9, 9))))
         for d in range(1, min(band, n - 1 - i) + 1):
             c = rand_qqi(rng) or QQi(1)
-            M.add_entry(i + d, i, c)
-            M.add_entry(i, i + d, c.conjugate())
-    return M
+            entries += [((i + d, i), c), ((i, i + d), c.conjugate())]
+    return RepMatrix(n, entries)
 
 
 def assert_spectrum_matches(M):
@@ -403,14 +402,135 @@ def test_psd_refute_large_br_square_is_not_refuted():
 def test_min_eig_leaves_scipy_unloaded_on_small_windows():
     code = ("import sys, invsemi\n"
             "from invsemi import action_matrix, example62, min_eig\n"
+            "from invsemi.algebra import AlgebraElement, convolve, involution\n"
+            "from invsemi.families import br_window, br_z2_contexts\n"
+            "from invsemi.rep import Truncation, norm_lower_bound, psd_refute\n"
             "sb = example62(60)\n"
             "min_eig(action_matrix(sb.epsilon_xx_star(), sb.action_points))\n"
+            "ctx, _ = br_z2_contexts()\n"
+            "f = AlgebraElement(ctx, [((0, 0, 0), 1), ((1, 1, 0), -2), ((2, 0, 1), 3),\n"
+            "                         ((0, 1, 3), 1)])\n"
+            "ff, B = convolve(involution(f), f), Truncation(ctx, br_window(ctx, 5))\n"
+            "assert not psd_refute(ff, B)['refuted'] and norm_lower_bound(ff, B) > 0\n"
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(rep_module.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# storage properties against plain-dict oracles
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+SMALL = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def entry_lists(draw):
+    """((i, j), c) pairs on at most 12 indices: repeated positions, cancelling
+    pairs, conjugate mirrors (often Hermitian), complex QQi and a few floats."""
+    n = draw(st.integers(1, 12))
+    index = st.integers(0, n - 1)
+    value = st.one_of(st.builds(QQi, SMALL, SMALL), st.builds(QQi, SMALL),
+                      st.floats(-2, 2).map(complex))
+    base = draw(st.lists(st.tuples(st.tuples(index, index), value), max_size=14))
+    out = list(base)
+    for (i, j), c in base:
+        kind = draw(st.sampled_from(["mirror", "mirror", "cancel", "repeat", "none"]))
+        if kind == "mirror":
+            out.append(((j, i), c.conjugate()))
+        elif kind == "cancel":
+            out.append(((i, j), -c))
+        elif kind == "repeat":
+            out.append(((i, j), draw(value)))
+    return n, draw(st.permutations(out))
+
+
+def dict_oracle(entries):
+    """Entries added one by one: repeats sum, a zero sum removes the entry."""
+    d = {}
+    for key, c in entries:
+        c = d[key] + c if key in d else c
+        if c == 0:
+            d.pop(key, None)
+        else:
+            d[key] = c
+    return d
+
+
+def asymmetric_positions(d, tol):
+    """Every (i, j) where d and its adjoint differ, by the textbook definition."""
+    bad = []
+    for (i, j), c in d.items():
+        e = d.get((j, i))
+        if e is None:
+            off = abs(to_complex(c)) > tol
+        elif is_exact(c) and is_exact(e):
+            off = e.conjugate() != c
+        else:
+            off = abs(to_complex(e).conjugate() - to_complex(c)) > tol
+        if off:
+            bad.append((i, j))
+    return sorted(bad)
+
+
+def bfs_blocks(n, d):
+    """Connected components of the entry graph, by breadth-first search."""
+    adj = {}
+    for i, j in d:
+        adj.setdefault(i, set()).add(j)
+        adj.setdefault(j, set()).add(i)
+    seen, comps = set(), []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp, queue = [], [start]
+        seen.add(start)
+        while queue:
+            i = queue.pop(0)
+            comp.append(i)
+            for j in adj[i] - seen:
+                seen.add(j)
+                queue.append(j)
+        comps.append(sorted(comp))
+    return comps, n - len(adj)
+
+
+@PROPERTY
+@given(entry_lists())
+def test_repmatrix_storage_matches_dict_oracle(case):
+    n, entries = case
+    M = RepMatrix(n, entries)
+    d = dict_oracle(entries)
+    assert {k: (is_exact(c), c) for k, c in M.entries.items()} == \
+        {k: (is_exact(c), c) for k, c in d.items()}
+    assert len(M.entries) == len(d) and M.is_exact() == all(map(is_exact, d.values()))
+    dense = np.zeros((n, n), dtype=complex)
+    for (i, j), c in d.items():
+        dense[i, j] = to_complex(c)
+    assert np.array_equal(M.to_dense(), dense)
+    for tol in (0.0, 1e-10, 0.5):
+        bad = asymmetric_positions(d, tol)
+        assert M.is_hermitian(tol) == (not bad)
+        assert M._asymmetry(tol) == (bad[0] if bad else None)
+    comps, free = bfs_blocks(n, d)
+    blocks, got_free = rep_module._blocks(M)
+    assert got_free == free and [size for size, *_ in blocks] == list(map(len, comps))
+    for comp, (size, rows, cols, vals) in zip(comps, blocks):
+        block = np.zeros((size, size), dtype=complex)
+        block[rows, cols] = vals
+        assert np.array_equal(block, dense[np.ix_(comp, comp)])
+    bad = asymmetric_positions(d, 1e-10)
+    if bad:
+        with pytest.raises(NotHermitian) as err:
+            min_eig(M)
+        assert err.value.witness == bad[0]
+    else:
+        assert abs(min_eig(M) - np.linalg.eigvalsh(dense)[0]) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,13 @@ def test_closure_matches_round_fixpoint(gens):
     assert S.zero_index == zero
 
 
+@PROPERTY
+@given(generator_sets())
+def test_star_derived_from_the_table_matches_inverses(gens):
+    S = _closure(gens, cap=100)
+    assert FiniteInverseSemigroup(S.table, zero=S.zero_index).star_table == S.star_table
+
+
 # -- group image -----------------------------------------------------------------
 
 @PROPERTY
