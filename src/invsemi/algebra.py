@@ -168,6 +168,26 @@ def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     return res
 
 
+def _kernel_convolve(f: AlgebraElement, g: AlgebraElement, member) -> AlgebraElement:
+    """epsilon_restrict(convolve(f, g), member): every product is still
+    evaluated and tested, but only the kept ones are multiplied out."""
+    ctx = f.context
+    out = {}
+    for s, a in f.terms.items():
+        for t, b in g.terms.items():
+            p = ctx.product(s, t)
+            if ctx.is_zero(p) or not member(p):
+                continue
+            c = out.get(p, 0) + a * b
+            if c == 0:
+                out.pop(p, None)
+            else:
+                out[p] = c
+    res = AlgebraElement(ctx)
+    res.terms = out
+    return res
+
+
 def involution(f: AlgebraElement) -> AlgebraElement:
     return f.star()
 
@@ -329,7 +349,7 @@ def epsilon_star_square(f: AlgebraElement, grading: Grading) -> AlgebraElement:
     rhs = AlgebraElement(f.context)
     for part in fibers.values():
         rhs = rhs + convolve(involution(part), part)
-    lhs = epsilon_restrict(convolve(involution(f), f), grading.kernel_predicate())
+    lhs = _kernel_convolve(involution(f), f, grading.kernel_member)
     if lhs != rhs:
         keys = set(lhs.terms) | set(rhs.terms)
         for e in sorted(keys, key=repr):
@@ -409,43 +429,78 @@ def _elem_label(ctx, e):
     return str(e)
 
 
+def _nonzero_products(ctx, elems, rows):
+    """Yield (i, j, p) for every pair of listed elements whose product p is
+    nonzero, left index i in the order of `rows`, j ascending; pairs the
+    context's partner index rules out are never multiplied, and each other
+    product is evaluated once."""
+    partners = ctx.partners(elems)
+    product, is_zero = ctx.product, ctx.is_zero
+    for i in rows:
+        a = elems[i]
+        for j in partners(a):
+            p = product(a, elems[j])
+            if not is_zero(p):
+                yield i, j, p
+
+
+def _graded_scan(grading: Grading, elements):
+    """Grade the nonzero listed elements and scan their nonzero products.
+
+    Returns the elements, their fibers (degree -> members, in order of first
+    appearance), the fiber index of each element, and (i, j, product degree,
+    expected degree) for every nonzero product whose degree is not the
+    expected one, in ascending (i, j). Each product is graded once and no
+    product degree is kept. Left elements are taken fiber by fiber, so the
+    expected degree is computed once per pair of fibers and kept only while
+    its left fiber is scanned.
+    """
+    ctx = grading.context
+    mul = grading.group.mul
+    elems = [e for e in elements if not ctx.is_zero(e)]
+    fibers, index, fiber_of = {}, {}, []
+    for e in elems:
+        g = grading.degree(e)
+        fiber_of.append(index.setdefault(g, len(index)))
+        fibers.setdefault(g, []).append(e)
+    degrees = list(fibers)
+    rows = sorted(range(len(elems)), key=fiber_of.__getitem__)
+    left, expected, mismatches = None, {}, []
+    for i, j, p in _nonzero_products(ctx, elems, rows):
+        if fiber_of[i] != left:
+            left, expected = fiber_of[i], {}
+        got = grading.degree(p)
+        want = expected.get(fiber_of[j])
+        if want is None:
+            want = expected[fiber_of[j]] = mul(degrees[left], degrees[fiber_of[j]])
+        if got != want:
+            mismatches.append((i, j, got, want))
+    mismatches.sort()
+    return elems, fibers, fiber_of, mismatches
+
+
 def check_grading(grading: Grading, elements) -> dict:
     """Verify multiplicativity of the degree map on every nonzero pair.
 
     Products are evaluated in the ambient context, so pairs whose product
     leaves the listed truncation are still checked exactly; `skipped` stays
     for contexts that cannot evaluate a product (none of the built-in ones).
-    Reports whether the kernel meets the listed elements in exactly the
-    nonzero idempotents (idempotent-pure).
+    `checked` counts every listed pair, the ones the partner index rules out
+    as zero included. Reports whether the kernel meets the listed elements in
+    exactly the nonzero idempotents (idempotent-pure).
     """
     ctx = grading.context
-    mul = grading.group.mul
-    elems = [e for e in elements if not ctx.is_zero(e)]
-    # each listed element is graded once; a product outside the list is
-    # graded on the spot, so no degree is cached beyond the list itself
-    degree = {e: grading.degree(e) for e in elems}
-    violations = []
-    checked = 0
-    for a in elems:
-        da = degree[a]
-        for b in elems:
-            p = ctx.product(a, b)
-            checked += 1
-            if ctx.is_zero(p):
-                continue
-            want = mul(da, degree[b])
-            got = degree[p] if p in degree else grading.degree(p)
-            if got != want:
-                violations.append({
-                    "left": _elem_label(ctx, a),
-                    "right": _elem_label(ctx, b),
-                    "product_degree": str(got),
-                    "expected_degree": str(want),
-                })
-    kernel = {e for e in elems if degree[e] == grading.group.identity}
+    elems, fibers, _, mismatches = _graded_scan(grading, elements)
+    violations = [{
+        "left": _elem_label(ctx, elems[i]),
+        "right": _elem_label(ctx, elems[j]),
+        "product_degree": str(got),
+        "expected_degree": str(want),
+    } for i, j, got, want in mismatches]
+    kernel = set(fibers.get(grading.group.identity, ()))
     idem = {e for e in elems if ctx.product(e, e) == e}
     return {
-        "checked": checked,
+        "checked": len(elems) ** 2,
         "skipped": 0,
         "violations": violations,
         "kernel_size": len(kernel),
@@ -458,13 +513,11 @@ def bundle_fibers(elements, grading: Grading) -> tuple[dict, dict]:
     """Group a truncation by degree and check the graded fiber axioms.
 
     Star must swap the g and g^-1 fibers, and products from fibers g and h
-    must land in the gh fiber or die at zero. Returns (fibers, report).
+    must land in the gh fiber or die at zero. Returns (fibers, report);
+    product violations are listed fiber pair by fiber pair.
     """
     ctx = grading.context
-    elems = [e for e in elements if not ctx.is_zero(e)]
-    fibers = {}
-    for e in elems:
-        fibers.setdefault(grading.degree(e), []).append(e)
+    elems, fibers, fiber_of, mismatches = _graded_scan(grading, elements)
     star_violations = []
     for g, members in fibers.items():
         ginv = grading.group.inv(g)
@@ -476,28 +529,20 @@ def bundle_fibers(elements, grading: Grading) -> tuple[dict, dict]:
                 "starred_not_listed": [_elem_label(ctx, s) for s in sorted(starred - expected, key=repr)],
                 "missing": [_elem_label(ctx, s) for s in sorted(expected - starred, key=repr)],
             })
-    product_violations = []
-    checked = 0
-    for g, left in fibers.items():
-        for h, right in fibers.items():
-            gh = grading.group.mul(g, h)
-            for s in left:
-                for t in right:
-                    p = ctx.product(s, t)
-                    checked += 1
-                    if ctx.is_zero(p):
-                        continue
-                    if grading.degree(p) != gh:
-                        product_violations.append({
-                            "left_fiber": str(g),
-                            "right_fiber": str(h),
-                            "left": _elem_label(ctx, s),
-                            "right": _elem_label(ctx, t),
-                            "product_degree": str(grading.degree(p)),
-                        })
+    degrees = list(fibers)
+    # members of one fiber keep their list order, so (fiber of i, fiber of j,
+    # i, j) is the order of a scan over fiber pairs
+    mismatches.sort(key=lambda m: (fiber_of[m[0]], fiber_of[m[1]], m[0], m[1]))
+    product_violations = [{
+        "left_fiber": str(degrees[fiber_of[i]]),
+        "right_fiber": str(degrees[fiber_of[j]]),
+        "left": _elem_label(ctx, elems[i]),
+        "right": _elem_label(ctx, elems[j]),
+        "product_degree": str(got),
+    } for i, j, got, _ in mismatches]
     report = {
         "fiber_sizes": {str(g): len(v) for g, v in sorted(fibers.items(), key=lambda kv: str(kv[0]))},
-        "checked": checked,
+        "checked": len(elems) ** 2,
         "skipped": 0,
         "star_violations": star_violations,
         "product_violations": product_violations,

@@ -48,6 +48,13 @@ class SemigroupContext:
     def is_idempotent(self, x) -> bool:
         return self.product(x, x) == x
 
+    def partners(self, elements):
+        """For the listed elements, a map from a left element to the ascending
+        indices of the listed right elements whose product with it can be
+        nonzero; a kind that cannot rule a pair out answers all of them."""
+        everyone = range(len(elements))
+        return lambda a: everyone
+
 
 # ---------------------------------------------------------------------------
 # partial bijections

@@ -175,13 +175,38 @@ def star_pair(p):
     return PathPair(p.nu, p.mu)
 
 
+class _Letters(dict):
+    """Interned letters (e, sign) of one sign, keyed by edge id."""
+
+    def __init__(self, sign):
+        super().__init__()
+        self.sign = sign
+
+    def __missing__(self, e):
+        letter = self[e] = (e, self.sign)
+        return letter
+
+
+_POSITIVE, _NEGATIVE = _Letters(1).__getitem__, _Letters(-1).__getitem__
+
+
 def grading_phi(p):
-    """Reduced word mu nu^-1 in the free group on edges; None for zero."""
+    """Reduced word mu nu^-1 in the free group on edges; None for zero.
+
+    The letters of mu nu^-1 cancel only across the junction, where the least
+    significant edges of the two legs meet, so stripping their common suffix
+    leaves the reduced word.
+    """
     if p is ZERO_PAIR:
         return None
-    letters = [(e, 1) for e in p.mu.edges]
-    letters += [(e, -1) for e in reversed(p.nu.edges)]
-    return free_reduce(letters)
+    mu, nu = p.mu.edges, p.nu.edges
+    m, n = len(mu), len(nu)
+    while m and n and mu[m - 1] == nu[n - 1]:
+        m -= 1
+        n -= 1
+    # tuple() of a list, not of a map: a tuple grown from a map's guessed
+    # length is freed onto the free list of its final size, which then fills
+    return tuple([*map(_POSITIVE, mu[:m]), *map(_NEGATIVE, nu[n - 1::-1] if n else ())])
 
 
 class GraphContext(SemigroupContext):
@@ -198,8 +223,38 @@ class GraphContext(SemigroupContext):
     def product(self, a, b):
         return multiply_pairs(a, b)
 
+    def is_zero(self, x) -> bool:
+        return x is ZERO_PAIR
+
     def star(self, a):
         return star_pair(a)
+
+    def partners(self, elements):
+        """(mu, nu)(alpha, beta) is nonzero only when alpha and nu are
+        comparable: one is a prefix of the other, at the same range vertex.
+        The list is indexed by its first legs alpha, once as alpha and once
+        under each proper prefix, so nu takes |nu| + 1 prefix lookups plus
+        one lookup of its extensions."""
+        exact, under = {}, {}
+        for j, q in enumerate(elements):
+            if q is ZERO_PAIR:
+                continue
+            head, edges = q.mu.head, q.mu.edges
+            exact.setdefault((head, edges), []).append(j)
+            for k in range(len(edges)):
+                under.setdefault((head, edges[:k]), []).append(j)
+
+        def partners(a):
+            if a is ZERO_PAIR:
+                return ()
+            head, edges = a.nu.head, a.nu.edges
+            found = list(under.get((head, edges), ()))
+            for k in range(len(edges) + 1):
+                found += exact.get((head, edges[:k]), ())
+            found.sort()
+            return found
+
+        return partners
 
 
 def graph_grading(graph: DirectedGraph) -> Grading:

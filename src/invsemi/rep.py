@@ -503,29 +503,36 @@ def graded_block_check(grading: Grading, B: Truncation, T) -> dict:
     ctx = grading.context
     checked = 0
     violations = []
+    columns = [(b, grading.degree(b)) for b in B.elements]
+    expected = {}   # (degree of t, degree of b) -> their product
     for t in T:
         if ctx.is_zero(t):
             continue
         dt = grading.degree(t)
-        for b in B.elements:
+        for b, db in columns:
             target = _regular_step(ctx, t, b)
             if target is None:
                 continue
             checked += 1
-            want = grading.group.mul(dt, grading.degree(b))
-            if grading.degree(target) != want:
+            want = expected.get((dt, db))
+            if want is None:
+                want = expected[dt, db] = grading.group.mul(dt, db)
+            landed = grading.degree(target)
+            if landed != want:
                 violations.append({"t": repr(t), "column": repr(b),
-                                   "landed": str(grading.degree(target)),
-                                   "expected": str(want)})
+                                   "landed": str(landed), "expected": str(want)})
     return {"checked": checked, "violations": violations, "ok": not violations}
 
 
 def coaction_unitary_check(grading: Grading, B: Truncation, group_window, T) -> dict:
     """Basis-vector identity W (Lambda(t) x I) W* (d_s x d_g) = d_{ts} x d_{phi(t)g}.
 
-    W twists d_s x d_g to d_s x d_{phi(s)g}; the check walks the three-step
-    composite on every (s, g) pair and compares symbolically. Products that
-    leave the truncation are counted as skipped boundary cases.
+    W twists d_s x d_g to d_s x d_{phi(s)g}; the three-step composite sends
+    it to d_{ts} x d_{phi(ts) phi(s)^-1 g}. In a group that equals
+    phi(t) g for one g exactly when phi(ts) phi(s)^-1 = phi(t), so one
+    comparison per (t, s) decides every g of the window, and each g counts
+    as checked. Products that leave the truncation are counted as skipped
+    boundary cases.
     """
     ctx = grading.context
     G = grading.group
@@ -544,8 +551,10 @@ def coaction_unitary_check(grading: Grading, B: Truncation, group_window, T) -> 
                 skipped += len(group_window)
                 continue
             ds_inv, dstep = G.inv(grading.degree(s)), grading.degree(step)
+            checked += len(group_window)
+            if G.mul(dstep, ds_inv) == dt:
+                continue
             for g in group_window:
-                checked += 1
                 # W* then Lambda(t) x I then W
                 got = G.mul(dstep, G.mul(ds_inv, g))
                 want = G.mul(dt, g)

@@ -11,7 +11,8 @@ The fixtures carry no payload, so the commands that decode one (`product`,
 `factorize`) stop at "needs a field" on them. `PAYLOADS` adds one document
 per command and structure kind, a fixture plus fixed payload fields, so the
 element and degree codecs of every kind are fenced too. Their entries are
-keyed `<command> --input <fixture>+<payload name>`.
+keyed `<command> --input <fixture>+<payload name>`. `FLAGGED` runs the graded
+scans past the default length bound, keyed by their whole argv.
 
 Re-record after an intended output change with
 
@@ -126,14 +127,22 @@ PAYLOADS = [
     ("norm-bound", "shift_window5", "action", {"element": _terms(["e", "1"], ["a", "-1"])}),
 ]
 
+# the graded scans at L = 3, where most pairs multiply to zero; each one
+# runs in under 0.5 s
+FLAGGED = [[command, "--input", fixture, "--length", "3"]
+           for command in ("grading-check", "bundle-check", "coaction-check")
+           for fixture in ("bouquet2", "two_vertex")]
+
 
 def invocations(workdir):
     """(key, argv) of every non-report command on every fixture at default
-    flags, of the report, and of every payload document, written to workdir."""
+    flags, of the report, of the flagged scans, and of every payload
+    document, written to workdir."""
     out = [(f"{command} --input {fixture}", [command, "--input", fixture])
            for command in _COMMANDS if command != "report"
            for fixture in list_fixtures()]
     out.append(("report --seed 0", ["report", "--seed", "0"]))
+    out += [(" ".join(argv), argv) for argv in FLAGGED]
     fixtures = resources.files("invsemi") / "fixtures"
     for command, fixture, name, payload in PAYLOADS:
         doc = json.loads((fixtures / f"{fixture}.json").read_text(encoding="ascii"))

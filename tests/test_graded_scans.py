@@ -1,0 +1,122 @@
+"""Property tests for the graded scans against plain double loops.
+
+Random graphs with a source (a vertex no edge enters) and a sink (a vertex
+no edge leaves), loops and parallel edges allowed, are truncated at L <= 3.
+The graph partner index may skip only pairs that multiply to zero;
+`check_grading`, `bundle_fibers` and `coaction_unitary_check` must report
+exactly what the pair-by-pair loops in `tests/util.py` report, on the honest
+grading and on gradings that lie about one element; and `grading_phi` must
+equal the free reduction of mu nu^-1. Examples are derandomized so every run
+checks the same cases.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from invsemi.algebra import Grading, IntGroupOps, bundle_fibers, check_grading
+from invsemi.families import br_grading, br_window, br_z2_contexts
+from invsemi.graphs import (ZERO_PAIR, DirectedGraph, GraphContext, enumerate_pairs,
+                            grading_phi, graph_grading, multiply_pairs)
+from invsemi.rep import Truncation, coaction_unitary_check
+from invsemi.words import free_reduce, word_mul
+
+from util import pairwise_bundle_fibers, pairwise_check_grading, per_g_coaction_check
+
+PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+MAX_PAIRS = 30
+
+
+@st.composite
+def truncated_graphs(draw):
+    """(graph, L, pairs): vertex 0 is a source and the last vertex a sink;
+    L <= 3 shrinks until the truncation has at most MAX_PAIRS pairs."""
+    n = draw(st.integers(3, 5))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)),
+                         min_size=1, max_size=5))
+    g = DirectedGraph([f"v{k}" for k in range(n)],
+                      [(i, f"v{s}", f"v{r}") for i, (s, r) in enumerate(ends)])
+    L = draw(st.integers(0, 3))
+    while len(enumerate_pairs(g, L)) > MAX_PAIRS:
+        L -= 1
+    return g, L, enumerate_pairs(g, L)
+
+
+def _lying(grading, culprit, edge):
+    """The grading with one element's degree pushed by one edge letter."""
+    def degree(x):
+        d = grading.degree(x)
+        return word_mul(d, ((edge, 1),)) if x == culprit else d
+    return Grading(grading.context, grading.group, degree)
+
+
+@PROPERTY
+@given(truncated_graphs())
+def test_partner_index_skips_only_zero_products(drawn):
+    g, _, pairs = drawn
+    partners = GraphContext(g).partners(pairs)
+    for a in pairs:
+        found = list(partners(a))
+        assert found == sorted(set(found))
+        skipped = set(range(len(pairs))) - set(found)
+        assert all(multiply_pairs(a, pairs[j]) is ZERO_PAIR for j in skipped)
+
+
+@PROPERTY
+@given(truncated_graphs(), st.data())
+def test_graded_scans_match_pairwise_loops(drawn, data):
+    g, _, pairs = drawn
+    honest = graph_grading(g)
+    culprit = data.draw(st.sampled_from(pairs))
+    edge = data.draw(st.sampled_from(g.edge_ids))
+    for grading in (honest, _lying(honest, culprit, edge)):
+        listed = pairs + [ZERO_PAIR]
+        assert check_grading(grading, listed) == pairwise_check_grading(grading, listed)
+        fibers, report = bundle_fibers(listed, grading)
+        want_fibers, want_report = pairwise_bundle_fibers(listed, grading)
+        assert report == want_report
+        assert list(fibers.items()) == list(want_fibers.items())
+
+
+@PROPERTY
+@given(truncated_graphs())
+def test_grading_phi_is_the_free_reduction(drawn):
+    _, _, pairs = drawn
+    for p in pairs:
+        for q in pairs:
+            r = multiply_pairs(p, q)
+            if r is ZERO_PAIR:
+                assert grading_phi(r) is None
+                continue
+            letters = [(e, 1) for e in r.mu.edges] + [(e, -1) for e in reversed(r.nu.edges)]
+            assert grading_phi(r) == free_reduce(letters)
+
+
+@PROPERTY
+@given(truncated_graphs(), st.data())
+def test_coaction_check_matches_per_g_loop(drawn, data):
+    g, _, pairs = drawn
+    honest = graph_grading(g)
+    grading = _lying(honest, data.draw(st.sampled_from(pairs)),
+                     data.draw(st.sampled_from(g.edge_ids)))
+    window = [grading.group.identity]
+    for p in pairs[:4]:
+        if grading.degree(p) not in window:
+            window.append(grading.degree(p))
+    B = Truncation(GraphContext(g), pairs)
+    assert (coaction_unitary_check(grading, B, window, pairs)
+            == per_g_coaction_check(grading, B, window, pairs))
+
+
+def test_coaction_check_matches_per_g_loop_on_br():
+    ctx, _ = br_z2_contexts()
+    honest = br_grading(ctx)
+    culprit = ctx.element(1, 0, 0)
+    lying = Grading(ctx, IntGroupOps(),
+                    lambda s: honest.degree(s) + (2 if s == culprit else 0))
+    B = Truncation(ctx, br_window(ctx, 2))
+    report = coaction_unitary_check(lying, B, range(-2, 3), br_window(ctx, 1))
+    assert not report["ok"]
+    assert report == per_g_coaction_check(lying, B, range(-2, 3), br_window(ctx, 1))

@@ -76,3 +76,101 @@ def rand_square_qqi(rng: random.Random, span=5) -> QQi:
     """A nonzero perfect square in Q(i), so its principal root is exact."""
     mu = rand_qqi_nonzero(rng, span)
     return mu * mu
+
+
+# -- graded scans as plain double loops over every pair ----------------------
+
+def _label(ctx, e):
+    labels = getattr(ctx, "labels", None)
+    return labels[e] if labels is not None and isinstance(e, int) else str(e)
+
+
+def pairwise_check_grading(grading, elements) -> dict:
+    """`algebra.check_grading` as one product per listed pair."""
+    ctx, mul = grading.context, grading.group.mul
+    elems = [e for e in elements if not ctx.is_zero(e)]
+    violations = []
+    for a in elems:
+        for b in elems:
+            p = ctx.product(a, b)
+            if ctx.is_zero(p):
+                continue
+            want = mul(grading.degree(a), grading.degree(b))
+            got = grading.degree(p)
+            if got != want:
+                violations.append({"left": _label(ctx, a), "right": _label(ctx, b),
+                                   "product_degree": str(got),
+                                   "expected_degree": str(want)})
+    kernel = {e for e in elems if grading.degree(e) == grading.group.identity}
+    idem = {e for e in elems if ctx.product(e, e) == e}
+    return {"checked": len(elems) ** 2, "skipped": 0, "violations": violations,
+            "kernel_size": len(kernel), "idempotent_pure": kernel == idem,
+            "ok": not violations}
+
+
+def pairwise_bundle_fibers(elements, grading):
+    """`algebra.bundle_fibers` as one product per pair, fiber pair by fiber pair."""
+    ctx = grading.context
+    fibers = {}
+    for e in elements:
+        if not ctx.is_zero(e):
+            fibers.setdefault(grading.degree(e), []).append(e)
+    star_violations = []
+    for g, members in fibers.items():
+        starred = {ctx.star(s) for s in members}
+        expected = set(fibers.get(grading.group.inv(g), []))
+        if starred != expected:
+            star_violations.append({
+                "fiber": str(g),
+                "starred_not_listed": [_label(ctx, s) for s in sorted(starred - expected, key=repr)],
+                "missing": [_label(ctx, s) for s in sorted(expected - starred, key=repr)]})
+    product_violations = []
+    checked = 0
+    for g, left in fibers.items():
+        for h, right in fibers.items():
+            gh = grading.group.mul(g, h)
+            for s in left:
+                for t in right:
+                    p = ctx.product(s, t)
+                    checked += 1
+                    if not ctx.is_zero(p) and grading.degree(p) != gh:
+                        product_violations.append({
+                            "left_fiber": str(g), "right_fiber": str(h),
+                            "left": _label(ctx, s), "right": _label(ctx, t),
+                            "product_degree": str(grading.degree(p))})
+    report = {
+        "fiber_sizes": {str(g): len(v) for g, v in sorted(fibers.items(), key=lambda kv: str(kv[0]))},
+        "checked": checked, "skipped": 0, "star_violations": star_violations,
+        "product_violations": product_violations,
+        "ok": not star_violations and not product_violations}
+    return fibers, report
+
+
+def per_g_coaction_check(grading, B, group_window, T) -> dict:
+    """`rep.coaction_unitary_check` comparing once per group element g."""
+    ctx, G = grading.context, grading.group
+    checked = skipped = zero_cases = 0
+    violations = []
+    for t in T:
+        if ctx.is_zero(t):
+            continue
+        dt = grading.degree(t)
+        for s in B.elements:
+            dom = ctx.product(ctx.star(t), t)
+            step = None if ctx.product(dom, s) != s else ctx.product(t, s)
+            if step is None:
+                zero_cases += len(group_window)
+                continue
+            if step not in B:
+                skipped += len(group_window)
+                continue
+            ds_inv, dstep = G.inv(grading.degree(s)), grading.degree(step)
+            for g in group_window:
+                checked += 1
+                got = G.mul(dstep, G.mul(ds_inv, g))
+                want = G.mul(dt, g)
+                if got != want:
+                    violations.append({"t": repr(t), "s": repr(s), "g": str(g),
+                                       "got": str(got), "want": str(want)})
+    return {"checked": checked, "skipped": skipped, "zero_cases": zero_cases,
+            "violations": violations, "ok": not violations}
