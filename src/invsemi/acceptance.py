@@ -15,11 +15,9 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (AlgebraElement, Grading, TableGroupOps, check_grading,
-                      convolve, epsilon_restrict, involution,
-                      sos_witness_coset, sos_witness_idempotent_kernel)
+                      convolve, sos_witness_coset, sos_witness_idempotent_kernel)
 from .core import (FiniteInverseSemigroup, Homomorphism, close_generators,
                    idempotents, max_group_image, omega_coset_diagnostic,
                    omega_coset_partition, PartialBijection)
@@ -32,9 +30,9 @@ from .graphs import (GraphContext, enumerate_pairs, grading_phi, graph_grading,
                      orthogonality_check, pair, semisaturation_factorize)
 from .jsonio import load_fixture
 from .rep import (Truncation, action_matrix, coaction_unitary_check,
-                  epsilon_faithfulness_check, h_block_check, lambda_matrix,
-                  min_eig, norm_lower_bound, rep_identity_check)
-from .scalars import QQi
+                  epsilon_faithfulness_check, h_block_check, min_eig,
+                  norm_lower_bound, rep_identity_check)
+from .scalars import rand_qqi
 from .words import word_inv
 
 
@@ -48,16 +46,8 @@ class CriterionResult:
     budget: float | None
 
 
-def _rand_qqi(rng):
-    while True:
-        c = QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        if c != 0:
-            return c
-
-
 def _rand_square(rng):
-    c = _rand_qqi(rng)
+    c = rand_qqi(rng)
     return c * c
 
 
@@ -142,7 +132,7 @@ def criterion_3(seed=0):
         degree = rng.choice(sorted(pools))
         pool = pools[degree]
         support = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
-        f = AlgebraElement(ctx, [(p, _rand_qqi(rng)) for p in support])
+        f = AlgebraElement(ctx, [(p, rand_qqi(rng)) for p in support])
         if not f:
             continue
         try:
@@ -162,7 +152,7 @@ def criterion_3(seed=0):
         k = rng.randint(-3, 3)
         pool = [p for p in br_window(ctx, 3) if p[0] - p[2] == k]
         support = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
-        f = AlgebraElement(ctx, [(p, _rand_qqi(rng)) for p in support])
+        f = AlgebraElement(ctx, [(p, rand_qqi(rng)) for p in support])
         if not f:
             continue
         try:
@@ -302,23 +292,6 @@ def _universal_grading(S: FiniteInverseSemigroup) -> Grading:
     return Grading(S, TableGroupOps(G), lambda s: sigma[s])
 
 
-def _br_faithfulness(ctx, M, trials, seed):
-    rng = random.Random(seed)
-    window = br_window(ctx, M)
-    B = Truncation(ctx, br_window(ctx, 2 * M))
-    member = br_grading(ctx).kernel_predicate()
-    failures = 0
-    for _ in range(trials):
-        f = AlgebraElement(ctx)
-        while not f:
-            f = AlgebraElement(ctx, [(rng.choice(window), _rand_qqi(rng))
-                                     for _ in range(rng.randint(1, 4))])
-        u = epsilon_restrict(convolve(involution(f), f), member)
-        if not u or lambda_matrix(u, B).max_abs() <= 1e-12:
-            failures += 1
-    return failures
-
-
 def criterion_8(seed=0):
     detail = {}
     ok = True
@@ -342,7 +315,7 @@ def criterion_8(seed=0):
     detail["closure_coaction"] = {"ok": co["ok"], "checked": co["checked"]}
     ok = ok and co["ok"]
 
-    faith = epsilon_faithfulness_check(S5, g5, trials=100, seed=seed)
+    faith = epsilon_faithfulness_check(g5, S5.nonzero_elements(), B5, seed=seed)
     detail["closure_faithfulness"] = {"ok": faith["ok"], "trials": faith["trials"]}
     ok = ok and faith["ok"]
 
@@ -353,16 +326,17 @@ def criterion_8(seed=0):
         kernel = [p for p in br_window(ctx, 2) if p[0] == p[2]]
         blocks = [h_block_check(h, lambda p: p[0] == p[2], B) for h in kernel]
         co = coaction_unitary_check(grading, B, range(-2, 3), br_window(ctx, 1))
-        faith_failures = _br_faithfulness(ctx, 2, 100, seed + 1)
+        faith = epsilon_faithfulness_check(grading, br_window(ctx, 2),
+                                           Truncation(ctx, br_window(ctx, 4)), 100, seed + 1)
         detail[f"br_{tag}"] = {
             "identities_ok": rep["ok"], "identities_checked": rep["checked"],
             "h_blocks_ok": all(b["ok"] for b in blocks),
             "h_block_count": len(blocks),
             "coaction_ok": co["ok"], "coaction_checked": co["checked"],
-            "faithfulness_failures": faith_failures,
+            "faithfulness_failures": len(faith["failures"]),
         }
         ok = (ok and rep["ok"] and all(b["ok"] for b in blocks)
-              and co["ok"] and faith_failures == 0)
+              and co["ok"] and faith["ok"])
 
     return ok, detail
 

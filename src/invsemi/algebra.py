@@ -15,10 +15,10 @@ recomputation, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .core import GroupTable, Homomorphism, SemigroupContext
+from .core import GroupTable, SemigroupContext
 from .errors import (
     ContextMismatch,
     IdentityMismatch,
@@ -50,10 +50,6 @@ class AlgebraElement:
                 else:
                     clean[elem] = c
         self.terms = clean
-
-    @classmethod
-    def basis(cls, context, elem, coeff=1):
-        return cls(context, [(elem, coeff)])
 
     def support(self):
         return list(self.terms)
@@ -325,10 +321,6 @@ class Grading:
 
     def kernel_predicate(self):
         return self.kernel_member
-
-
-def grading_from_homomorphism(phi: Homomorphism) -> Grading:
-    return Grading(phi.source, TableGroupOps(phi.target), phi)
 
 
 def fiber_decompose(f: AlgebraElement, grading: Grading) -> dict:

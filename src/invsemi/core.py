@@ -518,21 +518,9 @@ def idempotents(S: FiniteInverseSemigroup):
     return E
 
 
-def natural_leq(s, t, S: FiniteInverseSemigroup) -> bool:
+def natural_leq(s, t, S: SemigroupContext) -> bool:
     """s <= t in the natural partial order: s = t (s* s)."""
     return s == S.product(t, S.product(S.star(s), s))
-
-
-def domain_members(a, S: FiniteInverseSemigroup):
-    """D_a = {b != 0 : a*a b = b}, cross-checked against {b : bb* <= a*a}."""
-    aa = S.product(S.star(a), a)
-    primary = [b for b in S.nonzero_elements() if S.product(aa, b) == b]
-    alt = [b for b in S.nonzero_elements()
-           if natural_leq(S.product(b, S.star(b)), aa, S)]
-    if primary != alt:
-        raise OracleMismatch("domain characterizations disagree",
-                             witness=(a, set(primary) ^ set(alt)))
-    return primary
 
 
 def max_group_image(S: FiniteInverseSemigroup):
@@ -610,10 +598,6 @@ def upward_closure(H, S: FiniteInverseSemigroup, E=None) -> frozenset:
     t = S.table
     return frozenset(x for x in S.elements()
                      if any(t[x][e] in Hset for e in E))
-
-
-def upward_closed(H, S: FiniteInverseSemigroup) -> bool:
-    return upward_closure(H, S) == frozenset(H)
 
 
 def _check_upward_closed_subsemigroup(H, S: FiniteInverseSemigroup, E):

@@ -35,6 +35,7 @@ from .core import (
     PartialBijection,
     SemigroupContext,
     identity_pb,
+    natural_leq,
 )
 from .errors import IdentityMismatch, InputError
 
@@ -132,11 +133,6 @@ def br_refined_grading(ctx: BRContext) -> Grading:
     return Grading(ctx, ops, lambda p: (p[0] - p[2], p[1]))
 
 
-def _leq(ctx, u, t) -> bool:
-    # natural order: u <= t iff u = t (u* u)
-    return ctx.product(t, ctx.product(ctx.star(u), u)) == u
-
-
 def br_omega_coset_check(ctx: BRContext, M: int, degrees=None) -> dict:
     """Windowed check that upward closures of rep-translated kernels are
     exactly the degree fibers.
@@ -153,7 +149,7 @@ def br_omega_coset_check(ctx: BRContext, M: int, degrees=None) -> dict:
     for k in degrees:
         s = br_coset_rep(ctx, k)
         translated = {ctx.product(s, h) for h in kernel_big}
-        upward = {t for t in window if any(_leq(ctx, u, t) for u in translated)}
+        upward = {t for t in window if any(natural_leq(u, t, ctx) for u in translated)}
         fiber = {t for t in window if br_phi(t) == k}
         per_degree[k] = upward == fiber
     covered = sorted(degrees)

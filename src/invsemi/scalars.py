@@ -185,6 +185,16 @@ def to_complex(x) -> complex:
     return x.to_complex() if isinstance(x, QQi) else complex(x)
 
 
+def rand_qqi(rng) -> QQi:
+    """A random nonzero QQi whose parts have numerators in [-9, 9] and
+    denominators in [1, 9], redrawn until nonzero."""
+    while True:
+        c = QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        if c != 0:
+            return c
+
+
 def principal_sqrt(x):
     """Principal square root, exact in Q(i) when possible, float otherwise."""
     if isinstance(x, QQi):

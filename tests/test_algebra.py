@@ -6,13 +6,13 @@ from invsemi.algebra import (
     AlgebraElement,
     Grading,
     IntGroupOps,
+    TableGroupOps,
     bundle_fibers,
     check_grading,
     convolve,
     epsilon_restrict,
     epsilon_star_square,
     fiber_decompose,
-    grading_from_homomorphism,
     involution,
     sos_witness_coset,
     sos_witness_idempotent_kernel,
@@ -20,7 +20,6 @@ from invsemi.algebra import (
 from invsemi.core import (
     EMPTY_PB,
     FiniteInverseSemigroup,
-    Homomorphism,
     IXContext,
     PartialBijection,
     identity_pb,
@@ -256,7 +255,7 @@ def test_epsilon_star_square_group_table_grading():
     rng = random.Random(7)
     S = clifford_chain_z2()
     G, sigma = max_group_image(S)
-    grading = grading_from_homomorphism(Homomorphism(S, G, sigma))
+    grading = Grading(S, TableGroupOps(G), sigma.__getitem__)
     for _ in range(10):
         f = rand_element(rng, S, list(S.elements()), size=3)
         got = epsilon_star_square(f, grading)

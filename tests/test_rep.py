@@ -11,22 +11,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from invsemi.algebra import (AlgebraElement, FreeGroupOps, Grading,
-                             IntGroupOps, TableGroupOps, convolve,
-                             epsilon_restrict, involution)
+                             IntGroupOps, TableGroupOps, convolve, involution)
 from invsemi.core import (FiniteInverseSemigroup, IXContext, PartialBijection,
-                          close_generators, idempotents, max_group_image)
+                          SemigroupContext, close_generators, idempotents,
+                          max_group_image, natural_leq)
 from invsemi.errors import InputError, NotHermitian
 from invsemi.families import br_grading, br_window, br_z2_contexts, example62
 from invsemi.graphs import (DirectedGraph, GraphContext, enumerate_pairs,
                             graph_grading, pair)
-from invsemi.rep import (RepMatrix, Truncation, action_matrix,
+from invsemi.rep import (RepMatrix, Truncation, _left, action_matrix,
                          coaction_unitary_check, epsilon_faithfulness_check,
-                         graded_block_check, h_block_check, lambda_matrix,
-                         min_eig, norm_lower_bound, psd_refute,
-                         rep_identity_check, rho_matrix)
+                         h_block_check, lambda_matrix, min_eig,
+                         norm_lower_bound, psd_refute, rep_identity_check,
+                         rho_matrix)
 import invsemi.rep as rep_module
 from invsemi.scalars import QQi, is_exact, to_complex
-from util import rand_qqi
+from util import per_column_rep_identity_check, rand_qqi
 
 
 # ---------------------------------------------------------------------------
@@ -571,41 +571,80 @@ def test_psd_refute_positive_on_untruncated_square_but_window_is_sound():
 
 
 # ---------------------------------------------------------------------------
-# graded structure of the matrices
+# one regular action: the column lists against per-column recomputation
 # ---------------------------------------------------------------------------
 
-def test_graded_block_check_on_graph_pairs():
+@st.composite
+def closures(draw):
+    """The closure of one to three random partial injections of at most
+    three points."""
+    n = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        image = draw(st.permutations(range(n)))
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        gens.append(PartialBijection({x: y for x, y, k in zip(range(n), image, keep) if k}))
+    return close_generators(gens)
+
+
+class OneLie(SemigroupContext):
+    """S with the product x y replaced by w. Neither x y nor w is zero, w is
+    neither x nor y, and x is not y*, so no domain or range projection is
+    miscomputed and no zero appears where S has none."""
+
+    def __init__(self, S, x, y, w):
+        self.S, self.lie, self.zero = S, (x, y, w), S.zero
+
+    def product(self, a, b):
+        x, y, w = self.lie
+        return w if (a, b) == (x, y) else self.S.product(a, b)
+
+    def star(self, a):
+        return self.S.star(a)
+
+
+@settings(PROPERTY, max_examples=15)
+@given(closures(), st.data())
+def test_rep_identity_check_matches_per_column_oracle(S, data):
+    elems = S.nonzero_elements()
+    cases = [S]
+    lies = [(x, y, w) for x in elems for y in elems for w in elems
+            if not S.is_zero(S.product(x, y)) and w not in (x, y) and x != S.star(y)]
+    if lies:
+        cases.append(OneLie(S, *data.draw(st.sampled_from(lies))))
+    for ctx in cases:
+        for basis in (elems, elems[: len(elems) // 2]):
+            B = Truncation(ctx, basis)
+            assert rep_identity_check(B, elems) == per_column_rep_identity_check(B, elems)
+
+
+def test_rep_identity_check_matches_oracle_on_windows():
     g = bouquet(2)
-    ctx = GraphContext(g)
-    grading = graph_grading(g)
-    B = Truncation(ctx, enumerate_pairs(g, 2))
-    T = enumerate_pairs(g, 1)
-    report = graded_block_check(grading, B, T)
-    assert report["ok"] and report["checked"] > 0
+    cases = [(GraphContext(g), enumerate_pairs(g, 2), enumerate_pairs(g, 1))]
+    cases += [(ctx, br_window(ctx, 2), br_window(ctx, 1)) for ctx in br_z2_contexts()]
+    for ctx, basis, elems in cases:
+        B = Truncation(ctx, basis)
+        report = rep_identity_check(B, elems)
+        assert report == per_column_rep_identity_check(B, elems)
+        assert report["ok"] and report["skipped"] > 0
 
 
-def test_graded_block_check_flags_wrong_degrees():
-    g = bouquet(2)
-    ctx = GraphContext(g)
-    honest = graph_grading(g)
-    culprit = pair(g, g.path([0]), g.empty_path("v"))
-
-    def lying(p):
-        d = honest.degree(p)
-        return honest.group.inv(d) if p == culprit else d
-
-    B = Truncation(ctx, enumerate_pairs(g, 2))
-    report = graded_block_check(Grading(ctx, honest.group, lying), B,
-                                enumerate_pairs(g, 1))
-    assert not report["ok"] and report["violations"]
+@PROPERTY
+@given(closures())
+def test_left_domain_is_natural_order_down_set(S):
+    # a*a b = b exactly when bb* <= a*a in the natural partial order
+    elems = S.nonzero_elements()
+    for a in S.elements():
+        aa = S.product(S.star(a), a)
+        hits = {b for b, x in zip(elems, _left(S, a, elems)) if x is not None}
+        assert hits == {b for b in elems if natural_leq(S.product(b, S.star(b)), aa, S)}
 
 
-def test_graded_block_check_on_br_window():
-    ctx, _ = br_z2_contexts()
-    grading = br_grading(ctx)
-    B = Truncation(ctx, br_window(ctx, 2))
-    report = graded_block_check(grading, B, br_window(ctx, 1))
-    assert report["ok"] and report["checked"] > 0
+def test_action_matrix_rejects_a_repeated_point():
+    sb = example62(3)
+    points = list(sb.action_points)
+    with pytest.raises(InputError):
+        action_matrix(sb.x, points + points[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +718,8 @@ def test_epsilon_faithfulness_trivial_grading():
     S = five_element_closure()
     G, sigma = max_group_image(S)
     grading = Grading(S, TableGroupOps(G), lambda s: sigma[s])
-    report = epsilon_faithfulness_check(S, grading, trials=50, seed=5)
+    report = epsilon_faithfulness_check(grading, S.nonzero_elements(), full_basis(S),
+                                        trials=50, seed=5)
     assert report["ok"] and report["trials"] == 50
 
 
@@ -688,5 +728,6 @@ def test_epsilon_faithfulness_z2_grading():
     G, sigma = max_group_image(S)
     assert G.n == 2
     grading = Grading(S, TableGroupOps(G), lambda s: sigma[s])
-    report = epsilon_faithfulness_check(S, grading, trials=100, seed=9)
+    report = epsilon_faithfulness_check(grading, S.nonzero_elements(), full_basis(S),
+                                        trials=100, seed=9)
     assert report["ok"] and not report["failures"]

@@ -174,3 +174,87 @@ def per_g_coaction_check(grading, B, group_window, T) -> dict:
                                        "got": str(got), "want": str(want)})
     return {"checked": checked, "skipped": skipped, "zero_cases": zero_cases,
             "violations": violations, "ok": not violations}
+
+
+# -- regular representation identities, one basis vector at a time ----------
+
+def _regular_step(ctx, a, b):
+    """The left regular action of a on one basis vector b: None when
+    a*a b != b, else the product a b."""
+    dom = ctx.product(ctx.star(a), a)
+    if ctx.product(dom, b) != b:
+        return None
+    return ctx.product(a, b)
+
+
+def per_column_rep_identity_check(B, elements, pairs=None) -> dict:
+    """`rep.rep_identity_check` recomputing every action step per column."""
+    ctx = B.context
+    elems = [e for e in elements if not ctx.is_zero(e)]
+    checked = skipped = 0
+    violations = []
+
+    if pairs is None:
+        pairs = [(s, t) for s in elems for t in elems]
+
+    for s, t in pairs:
+        st = ctx.product(s, t)
+        for b in B.elements:
+            mid = _regular_step(ctx, t, b)
+            if mid is not None and mid not in B:
+                skipped += 1
+                continue
+            lhs = None if mid is None else _regular_step(ctx, s, mid)
+            rhs = None if ctx.is_zero(st) else _regular_step(ctx, st, b)
+            if lhs is not None and lhs not in B and rhs is not None and rhs not in B:
+                skipped += 1
+                continue
+            checked += 1
+            if lhs != rhs:
+                violations.append({"kind": "product", "left": repr(s),
+                                   "right": repr(t), "column": repr(b)})
+
+    for s in elems:
+        fwd = {}
+        for j, b in enumerate(B.elements):
+            t = _regular_step(ctx, s, b)
+            if t is not None and t in B:
+                fwd[j] = B.index[t]
+        bwd = {}
+        for j, b in enumerate(B.elements):
+            t = _regular_step(ctx, ctx.star(s), b)
+            if t is not None and t in B:
+                bwd[j] = B.index[t]
+        checked += 1
+        if bwd != {i: j for j, i in fwd.items()}:
+            violations.append({"kind": "star", "element": repr(s)})
+
+    for s, t in pairs:
+        ran = ctx.product(t, ctx.star(t))
+        for b in B.elements:
+            right_first = ctx.product(b, t) if ctx.product(b, ran) == b else None
+            if right_first is not None and ctx.is_zero(right_first):
+                right_first = None
+            if right_first is not None and right_first not in B:
+                skipped += 1
+                continue
+            p1 = None if right_first is None else _regular_step(ctx, s, right_first)
+            left_first = _regular_step(ctx, s, b)
+            if left_first is not None and left_first not in B:
+                skipped += 1
+                continue
+            p2 = None
+            if left_first is not None and ctx.product(left_first, ran) == left_first:
+                p2 = ctx.product(left_first, t)
+                if ctx.is_zero(p2):
+                    p2 = None
+            if (p1 is not None and p1 not in B) or (p2 is not None and p2 not in B):
+                skipped += 1
+                continue
+            checked += 1
+            if p1 != p2:
+                violations.append({"kind": "commutation", "lambda": repr(s),
+                                   "rho": repr(t), "column": repr(b)})
+
+    return {"checked": checked, "skipped": skipped,
+            "violations": violations, "ok": not violations}
