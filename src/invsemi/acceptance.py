@@ -16,8 +16,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from .algebra import (AlgebraElement, Grading, TableGroupOps, check_grading,
-                      convolve, sos_witness_coset, sos_witness_idempotent_kernel)
+from .algebra import (AlgebraElement, Grading, check_grading, convolve,
+                      sos_witness_coset, sos_witness_idempotent_kernel)
 from .core import (FiniteInverseSemigroup, Homomorphism, close_generators,
                    idempotents, max_group_image, omega_coset_diagnostic,
                    omega_coset_partition, PartialBijection)
@@ -289,7 +289,7 @@ def criterion_7(seed=0):
 
 def _universal_grading(S: FiniteInverseSemigroup) -> Grading:
     G, sigma = max_group_image(S)
-    return Grading(S, TableGroupOps(G), lambda s: sigma[s])
+    return Grading(S, G, lambda s: sigma[s])
 
 
 def criterion_8(seed=0):

@@ -15,8 +15,9 @@ recomputation, never assumed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import GroupTable, SemigroupContext
 from .errors import (
@@ -200,108 +201,30 @@ def epsilon_restrict(f: AlgebraElement, H) -> AlgebraElement:
 # gradings
 # ---------------------------------------------------------------------------
 
-class GroupOps:
-    """Protocol: identity, mul, inv over hashable group elements."""
+class GroupOps(NamedTuple):
+    """A group as its identity, product and inverse over hashable elements;
+    a GroupTable offers the same three names, so a grading takes either."""
 
-    identity = None
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
+    identity: object
+    mul: Callable
+    inv: Callable
 
 
-class IntGroupOps(GroupOps):
-    identity = 0
-
-    def mul(self, a, b):
-        return a + b
-
-    def inv(self, a):
-        return -a
-
-    def __eq__(self, other):
-        return isinstance(other, IntGroupOps)
-
-    def __hash__(self):
-        return hash("Z")
+INTEGERS = GroupOps(0, operator.add, operator.neg)
+FREE_GROUP = GroupOps((), word_mul, word_inv)
 
 
-class TupleGroupOps(GroupOps):
+def zn_group(n: int) -> GroupOps:
     """Z^n written additively on int tuples."""
-
-    def __init__(self, n):
-        self.n = n
-        self.identity = (0,) * n
-
-    def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inv(self, a):
-        return tuple(-x for x in a)
-
-    def __eq__(self, other):
-        return isinstance(other, TupleGroupOps) and self.n == other.n
-
-    def __hash__(self):
-        return hash(("Zn", self.n))
+    return GroupOps((0,) * n, lambda a, b: tuple(map(operator.add, a, b)),
+                    lambda a: tuple(map(operator.neg, a)))
 
 
-class FreeGroupOps(GroupOps):
-    identity = ()
-
-    def mul(self, a, b):
-        return word_mul(a, b)
-
-    def inv(self, a):
-        return word_inv(a)
-
-    def __eq__(self, other):
-        return isinstance(other, FreeGroupOps)
-
-    def __hash__(self):
-        return hash("F")
-
-
-class ProductGroupOps(GroupOps):
+def product_group(left, right) -> GroupOps:
     """Direct product of two groups, elements written as pairs."""
-
-    def __init__(self, left: GroupOps, right: GroupOps):
-        self.left = left
-        self.right = right
-        self.identity = (left.identity, right.identity)
-
-    def mul(self, a, b):
-        return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
-
-    def inv(self, a):
-        return (self.left.inv(a[0]), self.right.inv(a[1]))
-
-    def __eq__(self, other):
-        return (isinstance(other, ProductGroupOps)
-                and self.left == other.left and self.right == other.right)
-
-    def __hash__(self):
-        return hash(("x", self.left, self.right))
-
-
-class TableGroupOps(GroupOps):
-    def __init__(self, group: GroupTable):
-        self.group = group
-        self.identity = group.identity
-
-    def mul(self, a, b):
-        return self.group.mul(a, b)
-
-    def inv(self, a):
-        return self.group.inv(a)
-
-    def __eq__(self, other):
-        return isinstance(other, TableGroupOps) and self.group.table == other.group.table
-
-    def __hash__(self):
-        return hash(tuple(map(tuple, self.group.table)))
+    return GroupOps((left.identity, right.identity),
+                    lambda a, b: (left.mul(a[0], b[0]), right.mul(a[1], b[1])),
+                    lambda a: (left.inv(a[0]), right.inv(a[1])))
 
 
 @dataclass
@@ -313,14 +236,11 @@ class Grading:
     """
 
     context: SemigroupContext
-    group: GroupOps
+    group: GroupOps | GroupTable
     degree: Callable
 
     def kernel_member(self, x) -> bool:
         return self.degree(x) == self.group.identity
-
-    def kernel_predicate(self):
-        return self.kernel_member
 
 
 def fiber_decompose(f: AlgebraElement, grading: Grading) -> dict:

@@ -21,7 +21,7 @@ from .acceptance import report_dict, run_all
 from .algebra import (bundle_fibers, check_grading, epsilon_restrict,
                       fiber_decompose, sos_witness_coset,
                       sos_witness_idempotent_kernel)
-from .core import e_unitary_witness, is_e_unitary
+from .core import e_unitary_witness, is_e_unitary, natural_leq
 from .errors import InputError, MathAssertionError
 from .families import example62, quasi_lattice_check, tq_oracle_check
 from .graphs import fiber_word_legs, orthogonality_check, semisaturation_factorize
@@ -115,8 +115,8 @@ def cmd_order(args):
     u, t = (li.decode_element(d) for d in docs)
 
     def leq(x, y):
-        return (not ctx.is_zero(x) or ctx.is_zero(y)) and \
-            ctx.product(y, ctx.product(ctx.star(x), x)) == x
+        # 0 <= y holds only for y = 0
+        return (not ctx.is_zero(x) or ctx.is_zero(y)) and natural_leq(x, y, ctx)
 
     return {"command": "order",
             "u": li.encode_element(u), "t": li.encode_element(t),

@@ -12,10 +12,10 @@ Three kinds of carrier live here:
 All contexts share the small product/star/is_zero protocol that the algebra
 layer builds on.
 
-On a table of n elements, closure, validation and the group image cost
-about n*k or n^2 each, where k is the size of a generating set: closure
-walks the right Cayley graph, validation runs Light's associativity test
-over a generating set, and the group image unions each s with e*s.
+On a table of n elements, each structure operation costs about n*k or n^2,
+where k is the size of a generating set: closure walks the right Cayley
+graph, Light's associativity test and the homomorphism test run over a
+generating set, and the group image unions each s with e*s.
 """
 
 from __future__ import annotations
@@ -329,6 +329,26 @@ def associativity_witness(t):
     return None
 
 
+def homomorphism_witness(t, m, G):
+    """A pair (s, g) with m(s g) != m(s) m(g) in the group G, or None.
+
+    g runs over the generating set of the table t only: n*k products, not
+    n^2. Every element is a left-normed product x1...xk of generators, and
+    induction on k gives m(s x1...xk) = m(s x1...x(k-1)) m(xk)
+    = m(s) m(x1...x(k-1)) m(xk) = m(s) m(x1...xk), the last step being the
+    test at x1...x(k-1). So t must be associative (validated, or built by
+    closure) and G a group (a validated GroupTable), as in Light's test.
+    """
+    image = [m(s) for s in range(len(t))]
+    mul = G.mul
+    for g in _generating_set(t)[0]:
+        mg = image[g]
+        for s, row in enumerate(t):
+            if image[row[g]] != mul(image[s], mg):
+                return (s, g)
+    return None
+
+
 class GroupTable:
     """Tabulated finite group."""
 
@@ -398,10 +418,9 @@ class Homomorphism:
             raise InputError("homomorphism source must not contain a zero")
         if len(m) != S.n or any(not (0 <= v < G.n) for v in m):
             raise InputError("homomorphism mapping malformed")
-        for s in range(S.n):
-            for t in range(S.n):
-                if m[S.product(s, t)] != G.mul(m[s], m[t]):
-                    raise InputError(f"not multiplicative at ({s},{t})")
+        bad = homomorphism_witness(S.table, m.__getitem__, G)
+        if bad is not None:
+            raise InputError(f"not multiplicative at ({bad[0]},{bad[1]})")
 
     def __call__(self, s):
         return self.mapping[s]
@@ -554,17 +573,13 @@ def max_group_image(S: FiniteInverseSemigroup):
     roots = sorted({find(x) for x in range(n)})
     cls = {r: i for i, r in enumerate(roots)}
     sigma = [cls[find(x)] for x in range(n)]
-    # each class's least member comes first in row-major order, so the
-    # quotient is read off the roots and every row is checked against it
+    # the quotient is read off the roots; validating it as a group lets the
+    # homomorphism test prove sigma a congruence over generators alone
     qtable = [[sigma[S.table[r][u]] for u in roots] for r in roots]
-    for s in range(n):
-        got = list(map(sigma.__getitem__, S.table[s]))
-        want = list(map(qtable[sigma[s]].__getitem__, sigma))
-        if got != want:
-            t = next(t for t in range(n) if got[t] != want[t])
-            raise OracleMismatch("group congruence not well defined",
-                                 witness=(s, t))
     G = GroupTable(qtable, labels=[S.labels[r] for r in roots])
+    bad = homomorphism_witness(S.table, sigma.__getitem__, G)
+    if bad is not None:
+        raise OracleMismatch("group congruence not well defined", witness=bad)
     return G, sigma
 
 

@@ -21,19 +21,19 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import (
+    INTEGERS,
     AlgebraElement,
     Grading,
-    IntGroupOps,
-    ProductGroupOps,
-    TableGroupOps,
-    TupleGroupOps,
     epsilon_restrict,
+    product_group,
+    zn_group,
 )
 from .core import (
     GroupTable,
     IXContext,
     PartialBijection,
     SemigroupContext,
+    homomorphism_witness,
     identity_pb,
     natural_leq,
 )
@@ -61,10 +61,9 @@ class BRContext(SemigroupContext):
             raise InputError("theta must map the group into itself")
         if self.theta[group.identity] != group.identity:
             raise InputError("theta must fix the identity")
-        for a in range(group.n):
-            for b in range(group.n):
-                if self.theta[group.mul(a, b)] != group.mul(self.theta[a], self.theta[b]):
-                    raise InputError(f"theta not multiplicative at ({a},{b})")
+        bad = homomorphism_witness(group.table, self.theta.__getitem__, group)
+        if bad is not None:
+            raise InputError(f"theta not multiplicative at ({bad[0]},{bad[1]})")
         self._powers = [tuple(range(group.n)), self.theta]
 
     def __eq__(self, other):
@@ -106,7 +105,7 @@ def br_phi(p) -> int:
 
 
 def br_grading(ctx: BRContext) -> Grading:
-    return Grading(ctx, IntGroupOps(), br_phi)
+    return Grading(ctx, INTEGERS, br_phi)
 
 
 def br_window(ctx: BRContext, M: int):
@@ -129,8 +128,8 @@ def br_refined_grading(ctx: BRContext) -> Grading:
     """
     if any(ctx.theta[a] != a for a in range(ctx.group.n)):
         raise InputError("refined grading needs the untwisted extension")
-    ops = ProductGroupOps(IntGroupOps(), TableGroupOps(ctx.group))
-    return Grading(ctx, ops, lambda p: (p[0] - p[2], p[1]))
+    return Grading(ctx, product_group(INTEGERS, ctx.group),
+                   lambda p: (p[0] - p[2], p[1]))
 
 
 def br_omega_coset_check(ctx: BRContext, M: int, degrees=None) -> dict:
@@ -215,7 +214,7 @@ class ShiftBundle:
         return degs.pop()
 
     def grading(self) -> Grading:
-        return Grading(self.context, IntGroupOps(), self.shift_degree)
+        return Grading(self.context, INTEGERS, self.shift_degree)
 
     def h_member(self, pb: PartialBijection) -> bool:
         """Membership in the inverse subsemigroup generated by b.
@@ -321,7 +320,7 @@ def tq_phi(p):
 
 
 def tq_grading(ctx: TQContext) -> Grading:
-    return Grading(ctx, TupleGroupOps(ctx.n), tq_phi)
+    return Grading(ctx, zn_group(ctx.n), tq_phi)
 
 
 def tq_generators(ctx: TQContext):

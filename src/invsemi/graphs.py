@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, FreeGroupOps, Grading, convolve
+from .algebra import FREE_GROUP, AlgebraElement, Grading, convolve
 from .core import SemigroupContext
 from .errors import (
     CancellationPresent,
@@ -258,7 +258,7 @@ class GraphContext(SemigroupContext):
 
 
 def graph_grading(graph: DirectedGraph) -> Grading:
-    return Grading(GraphContext(graph), FreeGroupOps(), grading_phi)
+    return Grading(GraphContext(graph), FREE_GROUP, grading_phi)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from importlib import resources
 
 import jsonschema
 
-from .algebra import AlgebraElement, Grading, TableGroupOps
+from .algebra import AlgebraElement, Grading
 from .core import (FiniteInverseSemigroup, GroupTable, PartialBijection,
                    close_generators, materialize_context, max_group_image)
 from .errors import InputError
@@ -118,7 +118,7 @@ class LoadedInput:
 
     def expectation_domain(self):
         """Membership predicate of the subsemigroup epsilon restricts to."""
-        return self.grading().kernel_predicate()
+        return self.grading().kernel_member
 
     def coset_rep(self, f, grading):
         """Representative of the one fiber f lives on, for the coset witness."""
@@ -204,7 +204,7 @@ class SemigroupInput(LoadedInput):
 
     def grading(self) -> Grading:
         G, sigma = self.group_image
-        return Grading(self.structure, TableGroupOps(G), sigma.__getitem__)
+        return Grading(self.structure, G, sigma.__getitem__)
 
     def basis(self, window=2, length=2):
         return list(self.structure.nonzero_elements())

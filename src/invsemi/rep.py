@@ -567,7 +567,7 @@ def epsilon_faithfulness_check(grading: Grading, pool, B: Truncation,
     from zero."""
     rng = random.Random(seed)
     ctx = grading.context
-    member = grading.kernel_predicate()
+    member = grading.kernel_member
     failures = []
     for trial in range(trials):
         g = AlgebraElement(ctx)

@@ -1,7 +1,8 @@
 """Reduced words in a free group, as tuples of (letter, sign) pairs.
 
 Letters are hashable labels, signs are +1/-1, and every function returns a
-fully reduced word (no adjacent x x^-1). The empty tuple is the identity.
+fully reduced word (no adjacent x x^-1) from reduced words; free_reduce
+reduces anything else. The empty tuple is the identity.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ def free_reduce(letters) -> tuple:
 
 
 def word_mul(u, v) -> tuple:
-    return free_reduce(tuple(u) + tuple(v))
+    """The product of reduced words: only the end of u and the start of v
+    can cancel."""
+    k, top = 0, min(len(u), len(v))
+    while k < top and u[-1 - k] == (v[k][0], -v[k][1]):
+        k += 1
+    return tuple(u[:len(u) - k]) + tuple(v[k:])
 
 
 def word_inv(u) -> tuple:

@@ -3,10 +3,9 @@ import random
 import pytest
 
 from invsemi.algebra import (
+    INTEGERS,
     AlgebraElement,
     Grading,
-    IntGroupOps,
-    TableGroupOps,
     bundle_fibers,
     check_grading,
     convolve,
@@ -248,14 +247,14 @@ def test_epsilon_star_square_flags_bad_degree():
 
     f = AlgebraElement(ctx, [(x, 1), (y, 1)])
     with pytest.raises(IdentityMismatch):
-        epsilon_star_square(f, Grading(ctx, IntGroupOps(), lying_degree))
+        epsilon_star_square(f, Grading(ctx, INTEGERS, lying_degree))
 
 
 def test_epsilon_star_square_group_table_grading():
     rng = random.Random(7)
     S = clifford_chain_z2()
     G, sigma = max_group_image(S)
-    grading = Grading(S, TableGroupOps(G), sigma.__getitem__)
+    grading = Grading(S, G, sigma.__getitem__)
     for _ in range(10):
         f = rand_element(rng, S, list(S.elements()), size=3)
         got = epsilon_star_square(f, grading)

@@ -6,26 +6,25 @@ The graph partner index may skip only pairs that multiply to zero;
 `check_grading`, `bundle_fibers` and `coaction_unitary_check` must report
 exactly what the pair-by-pair loops in `tests/util.py` report, on the honest
 grading and on gradings that lie about one element; and `grading_phi` must
-equal the free reduction of mu nu^-1. Examples are derandomized so every run
+equal the free reduction of mu nu^-1; `word_mul`, which cancels only at the
+junction of two reduced words, must equal the free reduction of u v. Examples are derandomized so every run
 checks the same cases.
 """
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invsemi.algebra import Grading, IntGroupOps, bundle_fibers, check_grading
+from invsemi.algebra import INTEGERS, Grading, bundle_fibers, check_grading
 from invsemi.families import br_grading, br_window, br_z2_contexts
 from invsemi.graphs import (ZERO_PAIR, DirectedGraph, GraphContext, enumerate_pairs,
                             grading_phi, graph_grading, multiply_pairs)
 from invsemi.rep import Truncation, coaction_unitary_check
-from invsemi.words import free_reduce, word_mul
+from invsemi.words import free_reduce, word_inv, word_mul
 
 from util import pairwise_bundle_fibers, pairwise_check_grading, per_g_coaction_check
 
-PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 MAX_PAIRS = 30
 
 
@@ -52,7 +51,7 @@ def _lying(grading, culprit, edge):
     return Grading(grading.context, grading.group, degree)
 
 
-@PROPERTY
+@settings(max_examples=15)
 @given(truncated_graphs())
 def test_partner_index_skips_only_zero_products(drawn):
     g, _, pairs = drawn
@@ -64,7 +63,7 @@ def test_partner_index_skips_only_zero_products(drawn):
         assert all(multiply_pairs(a, pairs[j]) is ZERO_PAIR for j in skipped)
 
 
-@PROPERTY
+@settings(max_examples=15)
 @given(truncated_graphs(), st.data())
 def test_graded_scans_match_pairwise_loops(drawn, data):
     g, _, pairs = drawn
@@ -80,7 +79,7 @@ def test_graded_scans_match_pairwise_loops(drawn, data):
         assert list(fibers.items()) == list(want_fibers.items())
 
 
-@PROPERTY
+@settings(max_examples=15)
 @given(truncated_graphs())
 def test_grading_phi_is_the_free_reduction(drawn):
     _, _, pairs = drawn
@@ -94,7 +93,7 @@ def test_grading_phi_is_the_free_reduction(drawn):
             assert grading_phi(r) == free_reduce(letters)
 
 
-@PROPERTY
+@settings(max_examples=15)
 @given(truncated_graphs(), st.data())
 def test_coaction_check_matches_per_g_loop(drawn, data):
     g, _, pairs = drawn
@@ -114,9 +113,29 @@ def test_coaction_check_matches_per_g_loop_on_br():
     ctx, _ = br_z2_contexts()
     honest = br_grading(ctx)
     culprit = ctx.element(1, 0, 0)
-    lying = Grading(ctx, IntGroupOps(),
+    lying = Grading(ctx, INTEGERS,
                     lambda s: honest.degree(s) + (2 if s == culprit else 0))
     B = Truncation(ctx, br_window(ctx, 2))
     report = coaction_unitary_check(lying, B, range(-2, 3), br_window(ctx, 1))
     assert not report["ok"]
     assert report == per_g_coaction_check(lying, B, range(-2, 3), br_window(ctx, 1))
+
+
+@st.composite
+def reduced_word_pairs(draw):
+    """(u, v) reduced over three letters; v often starts by undoing a suffix
+    of u, so cancellation runs deep and is sometimes total."""
+    letters = st.tuples(st.integers(0, 2), st.sampled_from((1, -1)))
+    u = free_reduce(draw(st.lists(letters, max_size=8)))
+    k = draw(st.integers(0, len(u)))
+    head = word_inv(u[k:]) if draw(st.booleans()) else ()
+    v = free_reduce(head + tuple(draw(st.lists(letters, max_size=4))))
+    return u, v
+
+
+@settings(max_examples=60)
+@given(reduced_word_pairs())
+def test_word_mul_is_the_free_reduction(words):
+    u, v = words
+    assert word_mul(u, v) == free_reduce(u + v)
+    assert word_mul(u, word_inv(u)) == ()

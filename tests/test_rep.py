@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invsemi.algebra import (AlgebraElement, FreeGroupOps, Grading,
-                             IntGroupOps, TableGroupOps, convolve, involution)
+from invsemi.algebra import (FREE_GROUP, INTEGERS, AlgebraElement, Grading,
+                             convolve, involution)
 from invsemi.core import (FiniteInverseSemigroup, IXContext, PartialBijection,
                           SemigroupContext, close_generators, idempotents,
                           max_group_image, natural_leq)
@@ -424,8 +424,6 @@ def test_min_eig_leaves_scipy_unloaded_on_small_windows():
 # storage properties against plain-dict oracles
 # ---------------------------------------------------------------------------
 
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 SMALL = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
 
 
@@ -500,7 +498,7 @@ def bfs_blocks(n, d):
     return comps, n - len(adj)
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(entry_lists())
 def test_repmatrix_storage_matches_dict_oracle(case):
     n, entries = case
@@ -603,7 +601,7 @@ class OneLie(SemigroupContext):
         return self.S.star(a)
 
 
-@settings(PROPERTY, max_examples=15)
+@settings(max_examples=15)
 @given(closures(), st.data())
 def test_rep_identity_check_matches_per_column_oracle(S, data):
     elems = S.nonzero_elements()
@@ -629,7 +627,7 @@ def test_rep_identity_check_matches_oracle_on_windows():
         assert report["ok"] and report["skipped"] > 0
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(closures())
 def test_left_domain_is_natural_order_down_set(S):
     # a*a b = b exactly when bb* <= a*a in the natural partial order
@@ -656,7 +654,7 @@ def test_coaction_check_on_bouquet():
     ctx = GraphContext(g)
     grading = graph_grading(g)
     B = Truncation(ctx, enumerate_pairs(g, 2))
-    G = FreeGroupOps()
+    G = FREE_GROUP
     z = ((0, 1),)
     window = [G.identity, z, G.mul(z, z), G.inv(z), G.mul(G.inv(z), G.inv(z))]
     report = coaction_unitary_check(grading, B, window, enumerate_pairs(g, 1))
@@ -680,7 +678,7 @@ def test_coaction_check_catches_non_multiplicative_degree():
         return honest.degree(s) + (2 if s == culprit else 0)
 
     B = Truncation(ctx, br_window(ctx, 2))
-    report = coaction_unitary_check(Grading(ctx, IntGroupOps(), lying), B,
+    report = coaction_unitary_check(Grading(ctx, INTEGERS, lying), B,
                                     range(-2, 3), br_window(ctx, 1))
     assert not report["ok"]
 
@@ -717,7 +715,7 @@ def test_h_block_check_on_shift_bundle():
 def test_epsilon_faithfulness_trivial_grading():
     S = five_element_closure()
     G, sigma = max_group_image(S)
-    grading = Grading(S, TableGroupOps(G), lambda s: sigma[s])
+    grading = Grading(S, G, lambda s: sigma[s])
     report = epsilon_faithfulness_check(grading, S.nonzero_elements(), full_basis(S),
                                         trials=50, seed=5)
     assert report["ok"] and report["trials"] == 50
@@ -727,7 +725,7 @@ def test_epsilon_faithfulness_z2_grading():
     S = clifford_chain_z2()
     G, sigma = max_group_image(S)
     assert G.n == 2
-    grading = Grading(S, TableGroupOps(G), lambda s: sigma[s])
+    grading = Grading(S, G, lambda s: sigma[s])
     report = epsilon_faithfulness_check(grading, S.nonzero_elements(), full_basis(S),
                                         trials=100, seed=9)
     assert report["ok"] and not report["failures"]

@@ -3,27 +3,27 @@
 Random partial bijections over at most five points are closed by
 `close_generators` and compared with the round-based fixpoint in
 `tests/util.py`; the group image is compared with the pairwise definition
-of sigma; and Light's associativity test is compared with the O(n^3) scan
-on tables with one mutated cell. Examples are derandomized so every run
-checks the same cases.
+of sigma; the homomorphism test over generators is compared with the
+pairwise one on moved group images and on self-maps of Z/n; and Light's
+associativity test is compared with the O(n^3) scan on tables with one
+mutated cell. Examples are derandomized so every run checks the same cases.
 """
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
 from invsemi.core import (FiniteInverseSemigroup, GroupTable, PartialBijection,
-                          associativity_witness, close_generators, idempotents,
-                          is_e_unitary, max_group_image)
+                          associativity_witness, close_generators,
+                          homomorphism_witness, idempotents, is_e_unitary,
+                          max_group_image)
 from invsemi.errors import CapExceeded, InputError
 
 from util import raw_closure
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite
@@ -54,7 +54,7 @@ def _key(m):
 
 # -- closure -------------------------------------------------------------------
 
-@PROPERTY
+@settings(max_examples=40)
 @given(generator_sets())
 def test_closure_matches_round_fixpoint(gens):
     S = _closure(gens, cap=100)
@@ -67,7 +67,7 @@ def test_closure_matches_round_fixpoint(gens):
     assert S.zero_index == zero
 
 
-@PROPERTY
+@settings(max_examples=40)
 @given(generator_sets())
 def test_star_derived_from_the_table_matches_inverses(gens):
     S = _closure(gens, cap=100)
@@ -76,7 +76,7 @@ def test_star_derived_from_the_table_matches_inverses(gens):
 
 # -- group image -----------------------------------------------------------------
 
-@PROPERTY
+@settings(max_examples=40)
 @given(generator_sets())
 def test_group_image_matches_pairwise_sigma(gens):
     S = _closure(gens, cap=100)
@@ -93,6 +93,68 @@ def test_group_image_matches_pairwise_sigma(gens):
     kernel = {s for s in S.elements() if sigma[s] == G.identity}
     assert is_e_unitary(S) == (kernel == set(E))
     assert is_e_unitary(S, (G, sigma)) == is_e_unitary(S)
+
+
+# -- homomorphism test ------------------------------------------------------------
+
+def _pairwise_witness(t, m, G):
+    """Every pair (s, u) with m(s u) != m(s) m(u): the n^2 definition."""
+    n = len(t)
+    return [(s, u) for s in range(n) for u in range(n)
+            if m[t[s][u]] != G.mul(m[s], m[u])]
+
+
+def _assert_agrees_with_pairwise(t, m, G):
+    bad = homomorphism_witness(t, m.__getitem__, G)
+    assert (bad is None) == (not _pairwise_witness(t, m, G))
+    if bad is not None:
+        s, g = bad
+        assert m[t[s][g]] != G.mul(m[s], m[g])
+
+
+@st.composite
+def clifford_sets(draw):
+    """Permutations of up to four points, with or without a partial identity:
+    closures whose maximum group image is mostly nontrivial."""
+    gens = draw(generator_sets(points=(4, 3, 2), max_gens=2, permutations=True))
+    if draw(st.booleans()):
+        n = len(gens[0])
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        gens.append({x: x for x, k in zip(range(n), keep) if k})
+    return gens
+
+
+@settings(max_examples=40)
+@given(generator_sets())
+def test_group_image_passes_the_homomorphism_test(gens):
+    S = _closure(gens, cap=100)
+    G, sigma = max_group_image(S)
+    assert homomorphism_witness(S.table, sigma.__getitem__, G) is None
+
+
+@settings(max_examples=40)
+@given(clifford_sets(), st.data())
+def test_homomorphism_test_matches_pairwise_on_moved_images(gens, data):
+    S = _closure(gens, cap=100)
+    G, sigma = max_group_image(S)
+    assume(G.n > 1)
+    s = data.draw(st.integers(0, S.n - 1))
+    moved = sigma[:]
+    moved[s] = (sigma[s] + data.draw(st.integers(1, G.n - 1))) % G.n
+    _assert_agrees_with_pairwise(S.table, sigma, G)
+    _assert_agrees_with_pairwise(S.table, moved, G)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 8), st.data())
+def test_homomorphism_test_matches_pairwise_on_cyclic_self_maps(n, data):
+    G = GroupTable([[(i + j) % n for j in range(n)] for i in range(n)])
+    # x -> kx is an endomorphism; then none, some or all entries are redrawn
+    k = data.draw(st.integers(0, n - 1))
+    theta = [k * x % n for x in range(n)]
+    for x in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        theta[x] = data.draw(st.integers(0, n - 1))
+    _assert_agrees_with_pairwise(G.table, theta, G)
 
 
 # -- associativity ----------------------------------------------------------------
@@ -160,7 +222,7 @@ def test_light_test_on_every_single_cell_mutation(gens):
                 _assert_witness_sound(table)
 
 
-@PROPERTY
+@settings(max_examples=40)
 @given(mutated_tables())
 def test_semigroup_validation_matches_brute_force(case):
     S, table = case
@@ -182,7 +244,7 @@ def _is_group(t):
                     for x in range(n)))
 
 
-@PROPERTY
+@settings(max_examples=40)
 @given(mutated_tables(permutations=True))
 def test_group_validation_matches_brute_force(case):
     S, table = case
