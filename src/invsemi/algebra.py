@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .core import GroupTable, SemigroupContext
@@ -32,7 +33,13 @@ from .words import word_inv, word_mul
 
 
 class AlgebraElement:
-    """Finitely supported scalar map on the nonzero part of a context."""
+    """Finitely supported scalar map on the nonzero part of a context.
+
+    The constructor is the one place terms are summed: it takes (element,
+    scalar) pairs or a dict, drops the context's zero, adds repeated elements
+    in input order onto the first coefficient given, and drops sums that
+    reach 0. Every operation below builds its result through it.
+    """
 
     __slots__ = ("context", "terms")
 
@@ -75,32 +82,17 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._require_same(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        res = AlgebraElement(self.context)
-        res.terms = out
-        return res
+        return AlgebraElement(self.context, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
-        res = AlgebraElement(self.context)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return AlgebraElement(self.context, ((e, -c) for e, c in self.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = as_scalar(c)
-        res = AlgebraElement(self.context)
-        if c == 0:
-            return res
-        res.terms = {e: v * c for e, v in self.terms.items()}
-        return res
+        return AlgebraElement(self.context, ((e, v * c) for e, v in self.terms.items()))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -111,19 +103,14 @@ class AlgebraElement:
         return self.scale(other)
 
     def star(self):
-        ctx = self.context
-        res = AlgebraElement(ctx)
-        out = {}
-        for e, c in self.terms.items():
-            se = ctx.star(e)
-            out[se] = out.get(se, 0) + c.conjugate()
-        res.terms = {e: c for e, c in out.items() if c != 0}
-        return res
+        star = self.context.star
+        return AlgebraElement(self.context,
+                              ((star(e), c.conjugate()) for e, c in self.terms.items()))
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+        return (self.context, self.terms) == (other.context, other.terms)
 
     def __hash__(self):
         raise TypeError("AlgebraElement is unhashable")
@@ -148,53 +135,33 @@ class AlgebraElement:
 def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """(f g)(a) = sum over st = a of f(s) g(t), zero products discarded."""
     f._require_same(g)
-    ctx = f.context
-    out = {}
-    for s, a in f.terms.items():
-        for t, b in g.terms.items():
-            p = ctx.product(s, t)
-            if ctx.is_zero(p):
-                continue
-            c = out.get(p, 0) + a * b
-            if c == 0:
-                out.pop(p, None)
-            else:
-                out[p] = c
-    res = AlgebraElement(ctx)
-    res.terms = out
-    return res
+    return _convolve(f, g)
 
 
-def _kernel_convolve(f: AlgebraElement, g: AlgebraElement, member) -> AlgebraElement:
-    """epsilon_restrict(convolve(f, g), member): every product is still
-    evaluated and tested, but only the kept ones are multiplied out."""
+def _convolve(f: AlgebraElement, g: AlgebraElement, member=None) -> AlgebraElement:
+    """convolve(f, g), or epsilon_restrict(convolve(f, g), member): every
+    product is still evaluated and tested, but only the kept ones are
+    multiplied out."""
     ctx = f.context
-    out = {}
-    for s, a in f.terms.items():
-        for t, b in g.terms.items():
-            p = ctx.product(s, t)
-            if ctx.is_zero(p) or not member(p):
-                continue
-            c = out.get(p, 0) + a * b
-            if c == 0:
-                out.pop(p, None)
-            else:
-                out[p] = c
-    res = AlgebraElement(ctx)
-    res.terms = out
-    return res
+    product, is_zero = ctx.product, ctx.is_zero
+    return AlgebraElement(ctx, (
+        (p, a * b) for s, a in f.terms.items() for t, b in g.terms.items()
+        for p in (product(s, t),) if not is_zero(p) and (member is None or member(p))))
 
 
 def involution(f: AlgebraElement) -> AlgebraElement:
     return f.star()
 
 
+def _membership(H):
+    """H itself when it is a predicate, else a test for membership in it."""
+    return H if callable(H) else (lambda x, _H=frozenset(H): x in _H)
+
+
 def epsilon_restrict(f: AlgebraElement, H) -> AlgebraElement:
     """Keep the coefficients supported on H (a container or a predicate)."""
-    member = H if callable(H) else (lambda x, _H=frozenset(H): x in _H)
-    res = AlgebraElement(f.context)
-    res.terms = {e: c for e, c in f.terms.items() if member(e)}
-    return res
+    member = _membership(H)
+    return AlgebraElement(f.context, [(e, c) for e, c in f.terms.items() if member(e)])
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +214,18 @@ def fiber_decompose(f: AlgebraElement, grading: Grading) -> dict:
     """Split f into its graded fibers f_g; the fibers sum back to f."""
     if f.context != grading.context:
         raise ContextMismatch("grading is over a different context")
-    out = {}
+    fibers = {}
     for e, c in f.terms.items():
-        g = grading.degree(e)
-        part = out.setdefault(g, AlgebraElement(f.context))
-        part.terms[e] = c
-    return out
+        fibers.setdefault(grading.degree(e), []).append((e, c))
+    return {g: AlgebraElement(f.context, terms) for g, terms in fibers.items()}
 
 
 def epsilon_star_square(f: AlgebraElement, grading: Grading) -> AlgebraElement:
     """Return sum_g f_g* f_g and assert it equals epsilon(f* f) on the kernel."""
-    fibers = fiber_decompose(f, grading)
-    rhs = AlgebraElement(f.context)
-    for part in fibers.values():
-        rhs = rhs + convolve(involution(part), part)
-    lhs = _kernel_convolve(involution(f), f, grading.kernel_member)
+    rhs = AlgebraElement(f.context, chain.from_iterable(
+        convolve(involution(part), part).terms.items()
+        for part in fiber_decompose(f, grading).values()))
+    lhs = _convolve(involution(f), f, grading.kernel_member)
     if lhs != rhs:
         keys = set(lhs.terms) | set(rhs.terms)
         for e in sorted(keys, key=repr):
@@ -282,6 +246,14 @@ def _single_fiber(f: AlgebraElement, grading: Grading):
         raise InputError(f"element is not supported on a single fiber: {degs}")
 
 
+def _verified_witness(f_g: AlgebraElement, witness: AlgebraElement, name: str):
+    """Return the witness once f'* f' = f* f holds exactly; raise otherwise."""
+    if convolve(involution(witness), witness) != convolve(involution(f_g), f_g):
+        raise WitnessFailure(f"{name} witness failed f'* f' = f* f",
+                             witness=(f_g.terms, witness.terms))
+    return witness
+
+
 def sos_witness_idempotent_kernel(f_g: AlgebraElement,
                                   grading: Grading | None = None) -> AlgebraElement:
     """Witness f' = sum alpha_s (s* s) with f'* f' = f_g* f_g, verified exactly.
@@ -295,12 +267,7 @@ def sos_witness_idempotent_kernel(f_g: AlgebraElement,
     ctx = f_g.context
     witness = AlgebraElement(
         ctx, [(ctx.product(ctx.star(s), s), c) for s, c in f_g.terms.items()])
-    lhs = convolve(involution(witness), witness)
-    rhs = convolve(involution(f_g), f_g)
-    if lhs != rhs:
-        raise WitnessFailure("idempotent-kernel witness failed f'* f' = f* f",
-                             witness=(f_g.terms, witness.terms))
-    return witness
+    return _verified_witness(f_g, witness, "idempotent-kernel")
 
 
 def sos_witness_coset(f_g: AlgebraElement, s_g,
@@ -321,13 +288,7 @@ def sos_witness_coset(f_g: AlgebraElement, s_g,
             raise NotInCoset("support element does not factor through the representative",
                              witness=s)
         pairs.append((ctx.product(root, h_s), c))
-    witness = AlgebraElement(ctx, pairs)
-    lhs = convolve(involution(witness), witness)
-    rhs = convolve(involution(f_g), f_g)
-    if lhs != rhs:
-        raise WitnessFailure("coset witness failed f'* f' = f* f",
-                             witness=(f_g.terms, witness.terms))
-    return witness
+    return _verified_witness(f_g, AlgebraElement(ctx, pairs), "coset")
 
 
 # ---------------------------------------------------------------------------

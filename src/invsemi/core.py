@@ -6,8 +6,8 @@ Three kinds of carrier live here:
   finite carrier set, with products computed on demand;
 * FiniteInverseSemigroup, a fully tabulated semigroup (product table, star
   table, optional zero) that every structure operation scans;
-* GroupTable, a tabulated finite group used as the target of homomorphisms
-  and maximum group images.
+* GroupTable, a tabulated semigroup with one idempotent, that is a finite
+  group, used as the target of homomorphisms and maximum group images.
 
 All contexts share the small product/star/is_zero protocol that the algebra
 layer builds on.
@@ -349,59 +349,28 @@ def homomorphism_witness(t, m, G):
     return None
 
 
-class GroupTable:
-    """Tabulated finite group."""
+class GroupTable(FiniteInverseSemigroup):
+    """Tabulated finite group: an inverse semigroup whose one idempotent is
+    its identity.
 
-    def __init__(self, table, labels=None, check=True):
-        self.table = [list(row) for row in table]
-        self.n = len(self.table)
-        self.labels = list(labels) if labels else [f"g{i}" for i in range(self.n)]
-        if check:
-            _check_cells(self.table, self.n, "$.group.table")
-        self.identity = self._find_identity()
-        self.inverse_table = self._derive_inverses()
-        if check:
-            self.validate()
+    One idempotent e suffices: s s* and s* s are idempotents, so both equal
+    e, and then e s = s s* s = s = s s* s = s e. The group product and
+    inverse are the semigroup's product and star.
+    """
 
-    def _find_identity(self):
-        for e in range(self.n):
-            if all(self.table[e][x] == x and self.table[x][e] == x
-                   for x in range(self.n)):
-                return e
-        raise InputError("no identity element")
+    def __init__(self, table, labels=None):
+        n = len(table)
+        _check_cells(table, n, "$.group.table")
+        if labels and len(labels) != n:
+            raise InputError(f"$.group.labels: {len(labels)} labels for {n} elements")
+        super().__init__(table, labels=labels or [f"g{i}" for i in range(n)])
+        idem = [e for e in range(self.n) if self.table[e][e] == e]
+        if len(idem) != 1:
+            raise InputError(f"{len(idem)} idempotents, a group has exactly one")
+        self.identity = idem[0]
 
-    def _derive_inverses(self):
-        inv = []
-        for x in range(self.n):
-            found = [y for y in range(self.n)
-                     if self.table[x][y] == self.identity
-                     and self.table[y][x] == self.identity]
-            if len(found) != 1:
-                raise InputError(f"group element {x} lacks a unique inverse")
-            inv.append(found[0])
-        return inv
-
-    def validate(self):
-        n = self.n
-        t = self.table
-        for a in range(n):
-            if sorted(t[a]) != list(range(n)) or sorted(t[x][a] for x in range(n)) != list(range(n)):
-                raise InputError(f"row/column {a} not a permutation")
-        bad = associativity_witness(t)
-        if bad is not None:
-            raise InputError(f"group not associative at {bad}")
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inv(self, a):
-        return self.inverse_table[a]
-
-    def label_index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InputError(f"unknown group label: {label!r}") from None
+    mul = FiniteInverseSemigroup.product
+    inv = FiniteInverseSemigroup.star
 
 
 @dataclass
@@ -491,8 +460,7 @@ def close_generators(gens, carrier=None, cap=20000) -> FiniteInverseSemigroup:
                                   witnesses=elems, check=False)
 
 
-def materialize_context(ctx: SemigroupContext, elements, labels=None,
-                        check=True) -> FiniteInverseSemigroup:
+def materialize_context(ctx: SemigroupContext, elements, labels=None) -> FiniteInverseSemigroup:
     """Tabulate a product-closed finite element list of any context."""
     elems = list(elements)
     index = {e: i for i, e in enumerate(elems)}
@@ -516,8 +484,7 @@ def materialize_context(ctx: SemigroupContext, elements, labels=None,
     zero = None
     if ctx.zero is not None and ctx.zero in index:
         zero = index[ctx.zero]
-    return FiniteInverseSemigroup(table, star, zero=zero, labels=labels,
-                                  witnesses=elems, check=check)
+    return FiniteInverseSemigroup(table, star, zero=zero, labels=labels, witnesses=elems)
 
 
 # ---------------------------------------------------------------------------

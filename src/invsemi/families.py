@@ -17,6 +17,7 @@ at the representation layer.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -359,9 +360,7 @@ def tq_apply(p, point):
 
 def quasi_lattice_check(n: int, bound: int = 3) -> dict:
     """Exhaustively verify the lub axioms on the box [0, bound]^n."""
-    pts = [()]
-    for _ in range(n):
-        pts = [p + (k,) for p in pts for k in range(bound + 1)]
+    pts = list(itertools.product(range(bound + 1), repeat=n))
     geq = lambda x, y: all(a >= b for a, b in zip(x, y))
     pairs_checked = 0
     failures = []
@@ -404,9 +403,7 @@ def tq_oracle_check(n: int, N: int, max_len: int, trials: int = 200,
     ctx = TQContext(n)
     gens = tq_generators(ctx)
     rng = random.Random(seed)
-    points = [()]
-    for _ in range(n):
-        points = [p + (k,) for p in points for k in range(N + 1)]
+    points = list(itertools.product(range(N + 1), repeat=n))
     checked = 0
     skipped = 0
     mismatches = []

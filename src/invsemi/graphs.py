@@ -475,17 +475,11 @@ def semisaturation_factorize(f: AlgebraElement, s_word, t_word):
         if aw != mu or bw != nu:
             raise UnsupportedCoefficient("support element outside the fiber",
                                          witness=elem)
-        by_len.setdefault(len(w_mu), []).append((aw, mw, bw, c))
+        by_len.setdefault(len(w_mu), []).append((aw, mw, bw, principal_sqrt(c)))
 
-    factors = []
-    for k in sorted(by_len):
-        left = AlgebraElement(ctx)
-        right = AlgebraElement(ctx)
-        for aw, mw, bw, c in by_len[k]:
-            root = principal_sqrt(c)
-            left.terms[PathPair(aw, mw)] = root
-            right.terms[PathPair(mw, bw)] = root
-        factors.append((left, right))
+    factors = [(AlgebraElement(ctx, [(PathPair(aw, mw), r) for aw, mw, _, r in legs]),
+                AlgebraElement(ctx, [(PathPair(mw, bw), r) for _, mw, bw, r in legs]))
+               for legs in map(by_len.get, sorted(by_len))]
 
     total = AlgebraElement(ctx)
     for left, right in factors:

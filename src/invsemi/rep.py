@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import AlgebraElement, Grading, convolve, epsilon_restrict, involution
+from .algebra import AlgebraElement, Grading, _membership, convolve, epsilon_restrict, involution
 from .core import PartialBijection
 from .errors import ContextMismatch, InputError, NotHermitian
 from .scalars import QQi, as_scalar, conj, is_exact, rand_qqi, to_complex
@@ -530,7 +530,7 @@ def h_block_check(h, H, B: Truncation) -> dict:
     H-block of the big matrix must equal the regular matrix of h on the
     H-truncation, entry for entry.
     """
-    member = H if callable(H) else (lambda x, _H=frozenset(H): x in _H)
+    member = _membership(H)
     ctx = B.context
     if not member(h):
         raise InputError("h must belong to the subsemigroup")

@@ -125,6 +125,22 @@ PAYLOADS = [
     ("psd", "shift_window5", "action", {"element": _terms(
         ["e", "1"], ["b", "-1"], [SHIFT_B_STAR, "-1"])}),
     ("norm-bound", "shift_window5", "action", {"element": _terms(["e", "1"], ["a", "-1"])}),
+    # float coefficients: repeated elements sum in input order, negative
+    # values and non-square roots print as floats
+    ("epsilon", "clifford_z2", "float", {"element": _terms(
+        ["1.0", 0.1], ["0.1", -0.5], ["1.0", 0.2], ["1.1", -1.5], ["1.1", 1.5])}),
+    ("epsilon", "br_z2_id", "float", {"element": _terms(
+        [[1, "g", 1], -0.25], [[2, "1", 0], 0.1], [[1, "g", 1], 0.2],
+        [[0, "g", 0], {"re": "-0.5", "im": "0.0", "float": True}])}),
+    ("fibers", "bouquet1", "float", {"element": _terms(
+        [SS, -0.1], [S0, 0.1], [V, 2.5], [SS, -0.2], [S0, -0.1])}),
+    ("fibers", "br_z2_id", "float", {"element": _terms(
+        [[1, "g", 1], 0.1], [[2, "1", 0], -0.3], [[1, "g", 1], 0.2], [[0, "g", 0], -1.0])}),
+    ("sos-witness", "clifford_z2", "float", {"element": _terms(["1.0", 0.5], ["0.0", -1.5])}),
+    ("sos-witness", "br_z2_id", "float", {"mode": "coset", "element": _terms(
+        [[2, "g", 1], -0.5], [[3, "1", 2], 2.0], [[2, "g", 1], 0.25])}),
+    ("factorize", "bouquet1", "float", {"s": [[0, 1]], "t": [], "element": _terms(
+        [{"mu": [0], "nu": [], "vertex": "v"}, "2"], [S00_0, -0.5])}),
 ]
 
 # the graded scans at L = 3, where most pairs multiply to zero; each one

@@ -258,3 +258,27 @@ def per_column_rep_identity_check(B, elements, pairs=None) -> dict:
 
     return {"checked": checked, "skipped": skipped,
             "violations": violations, "ok": not violations}
+
+
+# -- algebra element sums as running totals per element ---------------------
+
+def summed_terms(ctx, pairs) -> list:
+    """The (element, total) list that summing (element, coefficient) pairs
+    gives: zero elements skipped, a total that is 0 at the end dropped, and
+    each element placed where its last run of nonzero running sums began."""
+    total, since = {}, {}
+    for i, (e, c) in enumerate(pairs):
+        if ctx.is_zero(e):
+            continue
+        if total.get(e, 0) == 0:
+            since[e] = i
+        total[e] = total.get(e, 0) + c
+    return [(e, total[e]) for e in sorted(since, key=since.get) if total[e] != 0]
+
+
+def product_terms(ctx, f_terms, g_terms, member=lambda p: True) -> list:
+    """`summed_terms` of every product s t with f(s) g(t), f's terms outer,
+    kept when it is nonzero and `member` accepts it."""
+    products = [(ctx.product(s, t), a * b) for s, a in f_terms for t, b in g_terms]
+    return summed_terms(ctx, [(p, c) for p, c in products
+                              if not ctx.is_zero(p) and member(p)])
