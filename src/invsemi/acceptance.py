@@ -113,22 +113,15 @@ def criterion_2(seed=0):
 # 3. sum-of-squares witnesses hold exactly on random fiber elements
 # ---------------------------------------------------------------------------
 
-def _fiber_pools(graph, L):
-    pools = {}
-    for p in enumerate_pairs(graph, L):
-        pools.setdefault(grading_phi(p), []).append(p)
-    return pools
-
-
 def criterion_3(seed=0):
     rng = random.Random(seed)
     graph_failures = []
-    graphs = [load_fixture("bouquet1").structure,
-              load_fixture("bouquet2").structure]
-    pools_by_graph = [( _fiber_pools(g, 3), GraphContext(g), graph_grading(g))
-                      for g in graphs]
+    gradings = [graph_grading(load_fixture(name).structure)
+                for name in ("bouquet1", "bouquet2")]
+    graph_pools = [g.fibers(enumerate_pairs(g.context.graph, 3)) for g in gradings]
     for trial in range(500):
-        pools, ctx, grading = pools_by_graph[trial % 2]
+        grading, pools = gradings[trial % 2], graph_pools[trial % 2]
+        ctx = grading.context
         degree = rng.choice(sorted(pools))
         pool = pools[degree]
         support = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
@@ -145,12 +138,13 @@ def criterion_3(seed=0):
             graph_failures.append({"trial": trial, "error": str(exc)})
 
     br_failures = []
-    contexts = list(br_z2_contexts())
+    br_gradings = [br_grading(ctx) for ctx in br_z2_contexts()]
+    br_pools = [g.fibers(br_window(g.context, 3)) for g in br_gradings]
     for trial in range(500):
-        ctx = contexts[trial % 2]
-        grading = br_grading(ctx)
+        grading, pools = br_gradings[trial % 2], br_pools[trial % 2]
+        ctx = grading.context
         k = rng.randint(-3, 3)
-        pool = [p for p in br_window(ctx, 3) if p[0] - p[2] == k]
+        pool = pools[k]
         support = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
         f = AlgebraElement(ctx, [(p, rand_qqi(rng)) for p in support])
         if not f:
@@ -323,8 +317,8 @@ def criterion_8(seed=0):
         B = Truncation(ctx, br_window(ctx, 2))
         rep = rep_identity_check(B, br_window(ctx, 1))
         grading = br_grading(ctx)
-        kernel = [p for p in br_window(ctx, 2) if p[0] == p[2]]
-        blocks = [h_block_check(h, lambda p: p[0] == p[2], B) for h in kernel]
+        kernel = grading.fibers(br_window(ctx, 2))[0]
+        blocks = [h_block_check(h, grading.kernel_member, B) for h in kernel]
         co = coaction_unitary_check(grading, B, range(-2, 3), br_window(ctx, 1))
         faith = epsilon_faithfulness_check(grading, br_window(ctx, 2),
                                            Truncation(ctx, br_window(ctx, 4)), 100, seed + 1)
@@ -361,8 +355,8 @@ def criterion_9(seed=0):
     cliff = load_fixture("clifford_z2").structure
     G, sigma = max_group_image(cliff)
     cosets = omega_coset_partition(Homomorphism(cliff, G, sigma))
-    fibers = {frozenset(i for i in cliff.elements() if sigma[i] == g)
-              for g in range(G.n)}
+    fibers = {frozenset(members) for members in
+              Grading(cliff, G, sigma.__getitem__).fibers(cliff.elements()).values()}
     detail["clifford_partition"] = {"cosets": len(cosets),
                                     "matches_fibers": set(cosets) == fibers}
     ok = ok and set(cosets) == fibers

@@ -209,15 +209,22 @@ class Grading:
     def kernel_member(self, x) -> bool:
         return self.degree(x) == self.group.identity
 
+    def fibers(self, elements) -> dict:
+        """{degree: members} over the listed elements, each graded once;
+        degrees and the members of each keep the order they are listed in."""
+        out = {}
+        for e in elements:
+            out.setdefault(self.degree(e), []).append(e)
+        return out
+
 
 def fiber_decompose(f: AlgebraElement, grading: Grading) -> dict:
     """Split f into its graded fibers f_g; the fibers sum back to f."""
     if f.context != grading.context:
         raise ContextMismatch("grading is over a different context")
-    fibers = {}
-    for e, c in f.terms.items():
-        fibers.setdefault(grading.degree(e), []).append((e, c))
-    return {g: AlgebraElement(f.context, terms) for g, terms in fibers.items()}
+    terms = f.terms
+    return {g: AlgebraElement(f.context, [(e, terms[e]) for e in members])
+            for g, members in grading.fibers(terms).items()}
 
 
 def epsilon_star_square(f: AlgebraElement, grading: Grading) -> AlgebraElement:
@@ -241,7 +248,7 @@ def epsilon_star_square(f: AlgebraElement, grading: Grading) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 def _single_fiber(f: AlgebraElement, grading: Grading):
-    degs = {grading.degree(e) for e in f.terms}
+    degs = list(grading.fibers(f.terms))
     if len(degs) > 1:
         raise InputError(f"element is not supported on a single fiber: {degs}")
 
@@ -331,12 +338,10 @@ def _graded_scan(grading: Grading, elements):
     ctx = grading.context
     mul = grading.group.mul
     elems = [e for e in elements if not ctx.is_zero(e)]
-    fibers, index, fiber_of = {}, {}, []
-    for e in elems:
-        g = grading.degree(e)
-        fiber_of.append(index.setdefault(g, len(index)))
-        fibers.setdefault(g, []).append(e)
+    fibers = grading.fibers(elems)
     degrees = list(fibers)
+    where = {e: k for k, members in enumerate(fibers.values()) for e in members}
+    fiber_of = [where[e] for e in elems]
     rows = sorted(range(len(elems)), key=fiber_of.__getitem__)
     left, expected, mismatches = None, {}, []
     for i, j, p in _nonzero_products(ctx, elems, rows):

@@ -5,6 +5,10 @@ Reads JSON structure documents, dispatches to the library, and prints JSON
 byte-identical stdout; timings go to stderr. Exit codes: 0 all assertions
 passed, 1 a mathematical assertion failed (the report carries a witness),
 2 malformed input.
+
+A handler only computes its report. `main` loads the input and checks its
+kind, names the command in the report, and exits 1 exactly when the report's
+`ok` or `all_passed` is false.
 """
 
 from __future__ import annotations
@@ -91,23 +95,21 @@ def _payload(li: LoadedInput, key):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (report, exit_code)
+# command handlers: each takes the loaded input (None for the commands that
+# read none) and the parsed flags, and returns its report
 # ---------------------------------------------------------------------------
 
-def cmd_product(args):
-    li = _load(args)
+def cmd_product(li, args):
     ctx = li.context()
     elems = [li.decode_element(d) for d in _payload(li, "elements")]
     out = elems[0]
     for e in elems[1:]:
         out = ctx.product(out, e)
-    return {"command": "product",
-            "factors": [li.encode_element(e) for e in elems],
-            "product": li.encode_element(out)}, 0
+    return {"factors": [li.encode_element(e) for e in elems],
+            "product": li.encode_element(out)}
 
 
-def cmd_order(args):
-    li = _load(args)
+def cmd_order(li, args):
     ctx = li.context()
     docs = _payload(li, "elements")
     if len(docs) != 2:
@@ -118,69 +120,59 @@ def cmd_order(args):
         # 0 <= y holds only for y = 0
         return (not ctx.is_zero(x) or ctx.is_zero(y)) and natural_leq(x, y, ctx)
 
-    return {"command": "order",
-            "u": li.encode_element(u), "t": li.encode_element(t),
+    return {"u": li.encode_element(u), "t": li.encode_element(t),
             "u_leq_t": leq(u, t), "t_leq_u": leq(t, u),
-            "equal": u == t}, 0
+            "equal": u == t}
 
 
-def cmd_idempotents(args):
-    li = _load(args)
+def cmd_idempotents(li, args):
     ctx = li.context()
     found = [e for e in li.basis(args.window, args.length)
              if ctx.is_idempotent(e)]
-    return {"command": "idempotents", "count": len(found),
-            "idempotents": [li.encode_element(e) for e in found]}, 0
+    return {"count": len(found),
+            "idempotents": [li.encode_element(e) for e in found]}
 
 
-def cmd_max_group_image(args):
-    li = _load(args)
+def cmd_max_group_image(li, args):
     S, image = li.finite_semigroup()
     G, sigma = image
-    return {"command": "max-group-image",
-            "order": G.n,
+    return {"order": G.n,
             "group_table": G.table,
             "group_labels": G.labels,
             "sigma": [[S.labels[s], G.labels[sigma[s]]] for s in S.elements()],
-            "e_unitary": is_e_unitary(S, image)}, 0
+            "e_unitary": is_e_unitary(S, image)}
 
 
-def cmd_e_unitary(args):
-    li = _load(args)
+def cmd_e_unitary(li, args):
     S, image = li.finite_semigroup()
     bad = e_unitary_witness(S, image)
-    return {"command": "e-unitary", "e_unitary": bad is None,
-            "witness": None if bad is None else S.labels[bad]}, 0
+    return {"e_unitary": bad is None,
+            "witness": None if bad is None else S.labels[bad]}
 
 
-def cmd_epsilon(args):
-    li = _load(args)
+def cmd_epsilon(li, args):
     f = li.decode_algebra(_payload(li, "element"))
     if "subsemigroup" in li.doc:
         member = {li.decode_element(d) for d in li.doc["subsemigroup"]}
     else:
         member = li.expectation_domain()
     restricted = epsilon_restrict(f, member)
-    return {"command": "epsilon",
-            "element": li.encode_algebra(f),
+    return {"element": li.encode_algebra(f),
             "restricted": li.encode_algebra(restricted),
-            "dropped_terms": len(f) - len(restricted)}, 0
+            "dropped_terms": len(f) - len(restricted)}
 
 
-def cmd_fibers(args):
-    li = _load(args)
+def cmd_fibers(li, args):
     f = li.decode_algebra(_payload(li, "element"))
     parts = fiber_decompose(f, li.grading())
     rows = sorted(
         ((li.encode_degree(d), li.encode_algebra(part))
          for d, part in parts.items()),
         key=lambda row: json.dumps(row[0], sort_keys=True, default=str))
-    return {"command": "fibers", "count": len(rows),
-            "fibers": [[d, part] for d, part in rows]}, 0
+    return {"count": len(rows), "fibers": [[d, part] for d, part in rows]}
 
 
-def cmd_sos_witness(args):
-    li = _load(args)
+def cmd_sos_witness(li, args):
     f = li.decode_algebra(_payload(li, "element"))
     grading = li.grading()
     mode = li.doc.get("mode", "idempotent")
@@ -190,108 +182,73 @@ def cmd_sos_witness(args):
         rep = (li.decode_element(li.doc["rep"]) if "rep" in li.doc
                else li.coset_rep(f, grading))
         witness = sos_witness_coset(f, rep, grading)
-    return {"command": "sos-witness", "mode": mode,
+    return {"mode": mode,
             "identity": "f'* f' = f* f",
             "witness": li.encode_algebra(witness),
-            "exact": witness.is_exact()}, 0
+            "exact": witness.is_exact()}
 
 
-def cmd_bundle_check(args):
-    li = _load(args)
-    elements = li.basis(args.window, args.length)
-    _, report = bundle_fibers(elements, li.grading())
-    report["command"] = "bundle-check"
-    return report, 0 if report["ok"] else 1
+def cmd_bundle_check(li, args):
+    return bundle_fibers(li.basis(args.window, args.length), li.grading())[1]
 
 
-def cmd_grading_check(args):
-    li = _load(args)
-    report = check_grading(li.grading(), li.basis(args.window, args.length))
-    report["command"] = "grading-check"
-    return report, 0 if report["ok"] else 1
+def cmd_grading_check(li, args):
+    return check_grading(li.grading(), li.basis(args.window, args.length))
 
 
-def cmd_orthogonality(args):
-    li = _load(args)
-    if li.kind != "graph":
-        raise InputError("orthogonality scans need a graph document")
-    report = orthogonality_check(li.structure, args.length)
-    report["command"] = "orthogonality"
-    return report, 0 if report["ok"] else 1
+def cmd_orthogonality(li, args):
+    return orthogonality_check(li.structure, args.length)
 
 
-def cmd_factorize(args):
-    li = _load(args)
-    if li.kind != "graph":
-        raise InputError("factorization needs a graph document")
+def cmd_factorize(li, args):
     f = li.decode_algebra(_payload(li, "element"))
     s_word = word_from_json(_payload(li, "s"))
     t_word = word_from_json(_payload(li, "t"))
     factors = semisaturation_factorize(f, s_word, t_word)
     a_edges, _, _ = fiber_word_legs(s_word, t_word)
-    k_values = []
-    for left, _ in factors:
-        elem = next(iter(left.terms))
-        k_values.append(len(elem.mu.edges) - len(a_edges))
-    return {"command": "factorize",
-            "s": word_to_json(s_word), "t": word_to_json(t_word),
+    # the tail length k of each factor, read off one left support element
+    k_values = [len(next(iter(left.terms)).mu.edges) - len(a_edges)
+                for left, _ in factors]
+    return {"s": word_to_json(s_word), "t": word_to_json(t_word),
             "factor_count": len(factors),
             "k_values": k_values,
             "factors": [[li.encode_algebra(l), li.encode_algebra(r)]
                         for l, r in factors],
             "exact": all(l.is_exact() and r.is_exact() for l, r in factors),
-            "verified": True}, 0
+            "verified": True}
 
 
-def cmd_ql_check(args):
-    li = _load(args)
-    if li.kind != "toeplitz":
-        raise InputError("quasi-lattice checks need a toeplitz document")
-    report = quasi_lattice_check(li.structure.n, bound=args.length)
-    report["command"] = "ql-check"
-    return report, 0 if report["ok"] else 1
+def cmd_ql_check(li, args):
+    return quasi_lattice_check(li.structure.n, bound=args.length)
 
 
-def cmd_toeplitz_oracle(args):
-    li = _load(args)
-    if li.kind != "toeplitz":
-        raise InputError("the oracle needs a toeplitz document")
-    report = tq_oracle_check(li.structure.n, N=args.window, max_len=args.length,
-                             trials=300, seed=args.seed)
-    report["command"] = "toeplitz-oracle"
-    return report, 0 if report["ok"] else 1
+def cmd_toeplitz_oracle(li, args):
+    return tq_oracle_check(li.structure.n, N=args.window, max_len=args.length,
+                           trials=300, seed=args.seed)
 
 
-def cmd_psd(args):
-    li = _load(args)
+def cmd_psd(li, args):
     f = li.decode_algebra(_payload(li, "element"))
     B, rep = li.certificate_basis(args.window, args.length)
-    cert = psd_refute(f, B, rep=rep, tol=args.tol)
-    cert["command"] = "psd"
-    return cert, 0
+    return psd_refute(f, B, rep=rep, tol=args.tol)
 
 
-def cmd_norm_bound(args):
-    li = _load(args)
+def cmd_norm_bound(li, args):
     f = li.decode_algebra(_payload(li, "element"))
     B, rep = li.certificate_basis(args.window, args.length)
-    value = norm_lower_bound(f, B, rep=rep)
-    return {"command": "norm-bound", "rep": rep,
-            "basis_size": len(B), "norm_lower_bound": value}, 0
+    return {"rep": rep, "basis_size": len(B),
+            "norm_lower_bound": norm_lower_bound(f, B, rep=rep)}
 
 
-def cmd_coaction_check(args):
-    li = _load(args)
+def cmd_coaction_check(li, args):
     grading = li.grading()
     basis = li.basis(args.window, args.length)
     B = Truncation(li.context(), basis)
     group_window = li.group_window(basis, grading, args.window)
-    report = coaction_unitary_check(grading, B, group_window, basis)
-    report["command"] = "coaction-check"
-    return report, 0 if report["ok"] else 1
+    return coaction_unitary_check(grading, B, group_window, basis)
 
 
-def cmd_example62(args):
+def cmd_example62(li, args):
     n = args.window
     sb = example62(n)
     eps = sb.epsilon_xx_star()
@@ -299,49 +256,49 @@ def cmd_example62(args):
     value = min_eig(M)
     closed = 1 - 2 * math.cos(math.pi / (n + 2))
     refuted = value < -1e-9 * (n + 1)
-    return {"command": "example62",
-            "window": n,
+    return {"window": n,
             "points": n + 1,
             "epsilon_terms": len(eps),
             "epsilon_coefficient_exact": eps.is_exact(),
             "min_eig": value,
             "closed_form": closed,
             "verdict": "not positive in ℂH" if refuted
-                       else "no refutation at this window"}, 0
+                       else "no refutation at this window"}
 
 
-def cmd_report(args):
+def cmd_report(li, args):
     results = run_all(args.seed)
     for r in results:
         sys.stderr.write(f"criterion {r.number} ({r.name}): "
                          f"{'PASS' if r.passed else 'FAIL'} "
                          f"[{r.elapsed:.2f}s]\n")
-    body = report_dict(results)
-    body["command"] = "report"
-    body["seed"] = args.seed
-    return body, 0 if body["all_passed"] else 1
+    return dict(report_dict(results), seed=args.seed)
 
+
+# what each command reads: a document of one kind, a document of any kind
+# (_ANY), or nothing (None; --input is ignored)
+_ANY = "any"
 
 _COMMANDS = {
-    "product": cmd_product,
-    "order": cmd_order,
-    "idempotents": cmd_idempotents,
-    "max-group-image": cmd_max_group_image,
-    "e-unitary": cmd_e_unitary,
-    "epsilon": cmd_epsilon,
-    "fibers": cmd_fibers,
-    "sos-witness": cmd_sos_witness,
-    "bundle-check": cmd_bundle_check,
-    "grading-check": cmd_grading_check,
-    "orthogonality": cmd_orthogonality,
-    "factorize": cmd_factorize,
-    "ql-check": cmd_ql_check,
-    "toeplitz-oracle": cmd_toeplitz_oracle,
-    "psd": cmd_psd,
-    "norm-bound": cmd_norm_bound,
-    "coaction-check": cmd_coaction_check,
-    "example62": cmd_example62,
-    "report": cmd_report,
+    "product": (cmd_product, _ANY),
+    "order": (cmd_order, _ANY),
+    "idempotents": (cmd_idempotents, _ANY),
+    "max-group-image": (cmd_max_group_image, _ANY),
+    "e-unitary": (cmd_e_unitary, _ANY),
+    "epsilon": (cmd_epsilon, _ANY),
+    "fibers": (cmd_fibers, _ANY),
+    "sos-witness": (cmd_sos_witness, _ANY),
+    "bundle-check": (cmd_bundle_check, _ANY),
+    "grading-check": (cmd_grading_check, _ANY),
+    "orthogonality": (cmd_orthogonality, "graph"),
+    "factorize": (cmd_factorize, "graph"),
+    "ql-check": (cmd_ql_check, "toeplitz"),
+    "toeplitz-oracle": (cmd_toeplitz_oracle, "toeplitz"),
+    "psd": (cmd_psd, _ANY),
+    "norm-bound": (cmd_norm_bound, _ANY),
+    "coaction-check": (cmd_coaction_check, _ANY),
+    "example62": (cmd_example62, None),
+    "report": (cmd_report, None),
 }
 
 
@@ -379,21 +336,25 @@ def main(argv=None) -> int:
         sys.stderr.write("input error: --seed is mandatory for randomized checks\n")
         return 2
     started = time.perf_counter()
+    handler, kind = _COMMANDS[args.command]
     try:
-        report, code = _COMMANDS[args.command](args)
+        li = None if kind is None else _load(args)
+        if kind not in (None, _ANY) and li.kind != kind:
+            raise InputError(f"{args.command} needs a {kind} document")
+        report = handler(li, args)
     except MathAssertionError as exc:
-        report = {"command": args.command,
-                  "error": {"type": type(exc).__name__,
-                            "message": str(exc),
-                            "witness": repr(exc.witness)}}
-        _emit(report, args.format)
-        sys.stderr.write(f"elapsed: {time.perf_counter() - started:.3f}s\n")
-        return 1
+        report, code = {"error": {"type": type(exc).__name__,
+                                  "message": str(exc),
+                                  "witness": repr(exc.witness)}}, 1
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         if exc.witness is not None:
             sys.stderr.write(f"witness: {exc.witness!r}\n")
         return 2
+    else:
+        # a scan or check that found a violation, or a failed acceptance suite
+        code = int(report.get("ok") is False or report.get("all_passed") is False)
+    report["command"] = args.command
     _emit(report, args.format)
     sys.stderr.write(f"elapsed: {time.perf_counter() - started:.3f}s\n")
     return code

@@ -192,9 +192,6 @@ class FiniteInverseSemigroup(SemigroupContext):
     def star(self, a):
         return self.star_table[a]
 
-    def is_zero(self, x) -> bool:
-        return self.zero_index is not None and x == self.zero_index
-
     def label_index(self, label):
         try:
             return self.labels.index(label)
@@ -594,16 +591,6 @@ def _check_upward_closed_subsemigroup(H, S: FiniteInverseSemigroup, E):
     if up != Hset:
         raise NotUpwardClosed("subsemigroup is not upward closed",
                               witness=sorted(up - Hset))
-
-
-def omega_coset(s, H, S: FiniteInverseSemigroup) -> frozenset:
-    """up(sH) = {t : te in sH for some idempotent e}.
-
-    H must be an upward closed inverse subsemigroup.
-    """
-    E = idempotents(S)
-    _check_upward_closed_subsemigroup(H, S, E)
-    return upward_closure({S.product(s, h) for h in H}, S, E)
 
 
 def omega_coset_diagnostic(H, S: FiniteInverseSemigroup) -> dict:

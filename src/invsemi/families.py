@@ -53,8 +53,6 @@ class BRContext(SemigroupContext):
     (m,a,n)(i,b,j) = (m-n+t, theta^(t-n)(a) theta^(t-i)(b), j-i+t).
     """
 
-    zero = None
-
     def __init__(self, group: GroupTable, theta):
         self.group = group
         self.theta = tuple(theta)
@@ -95,9 +93,6 @@ class BRContext(SemigroupContext):
     def star(self, p):
         m, a, n = p
         return (n, self.group.inv(a), m)
-
-    def is_zero(self, x) -> bool:
-        return False
 
 
 def br_phi(p) -> int:
@@ -143,15 +138,16 @@ def br_omega_coset_check(ctx: BRContext, M: int, degrees=None) -> dict:
     """
     if degrees is None:
         degrees = range(-M, M + 1)
+    grading = br_grading(ctx)
     window = br_window(ctx, M)
-    kernel_big = [p for p in br_window(ctx, 2 * M) if br_phi(p) == 0]
+    fibers = grading.fibers(window)
+    kernel_big = grading.fibers(br_window(ctx, 2 * M))[0]
     per_degree = {}
     for k in degrees:
         s = br_coset_rep(ctx, k)
         translated = {ctx.product(s, h) for h in kernel_big}
         upward = {t for t in window if any(natural_leq(u, t, ctx) for u in translated)}
-        fiber = {t for t in window if br_phi(t) == k}
-        per_degree[k] = upward == fiber
+        per_degree[k] = upward == set(fibers.get(k, ()))
     covered = sorted(degrees)
     return {
         "window": M,
@@ -275,8 +271,6 @@ class TQContext(SemigroupContext):
     cone points has a common upper bound.
     """
 
-    zero = None
-
     def __init__(self, n: int):
         if n < 1:
             raise InputError("cone rank must be at least 1")
@@ -310,9 +304,6 @@ class TQContext(SemigroupContext):
     def star(self, p):
         s, t = p
         return (t, s)
-
-    def is_zero(self, x) -> bool:
-        return False
 
 
 def tq_phi(p):

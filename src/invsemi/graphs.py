@@ -361,42 +361,6 @@ def fiber_word_legs(s_word, t_word):
     return a_edges, b_edges, mid_edges
 
 
-def _try_path(graph, edges):
-    try:
-        return graph.path(edges)
-    except InputError:
-        return None
-
-
-def fiber_support(graph: DirectedGraph, s_word, t_word, L: int):
-    """Basis of the fiber over red(s t^-1): the family (a w, b w), |w| <= L.
-
-    Empty when the reduced word is not realized by composable paths from a
-    common vertex; NotPositivePair when it is not positives-then-negatives.
-    The empty word yields every idempotent (w, w).
-    """
-    word = free_reduce(tuple(s_word) + word_inv(t_word))
-    a_edges, b_edges = _split_positive_negative(word)
-    if not a_edges and not b_edges:
-        return [PathPair(w, w) for w in paths_up_to(graph, L)]
-    a = _try_path(graph, a_edges) if a_edges else None
-    b = _try_path(graph, b_edges) if b_edges else None
-    if (a_edges and a is None) or (b_edges and b is None):
-        return []
-    if a is not None and b is not None and a.base != b.base:
-        return []
-    v = a.base if a is not None else b.base
-    if a is None:
-        a = graph.empty_path(v)
-    if b is None:
-        b = graph.empty_path(v)
-    out = []
-    for w in paths_up_to(graph, L):
-        if w.head == v:
-            out.append(PathPair(graph.concat(a, w), graph.concat(b, w)))
-    return out
-
-
 def orthogonality_check(graph: DirectedGraph, L: int) -> dict:
     """Exhaustively verify S_{x^-1} . S_y = 0 for distinct edges x, y.
 

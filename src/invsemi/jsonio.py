@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -127,12 +128,8 @@ class LoadedInput:
     def group_window(self, basis, grading, window):
         """Group elements the coaction check twists by: the identity, then
         each other degree on the basis once."""
-        seen = [grading.group.identity]
-        for e in basis:
-            d = grading.degree(e)
-            if d not in seen:
-                seen.append(d)
-        return seen
+        identity = grading.group.identity
+        return [identity, *(d for d in grading.fibers(basis) if d != identity)]
 
     def certificate_basis(self, window, length):
         """(truncation, representation) the spectral certificates use."""
@@ -308,10 +305,10 @@ class BruckReillyInput(LoadedInput):
         return BRContext(GroupTable(g["table"], labels=g.get("labels")), doc["theta"])
 
     def coset_rep(self, f, grading):
-        degrees = {grading.degree(s) for s in f.terms}
+        degrees = list(grading.fibers(f.terms))
         if len(degrees) != 1:
             raise InputError("coset witness needs a single-fiber element")
-        return br_coset_rep(self.structure, degrees.pop())
+        return br_coset_rep(self.structure, degrees[0])
 
     def group_window(self, basis, grading, window):
         return range(-window, window + 1)
@@ -408,12 +405,28 @@ KINDS = {cls.kind: cls for cls in (SemigroupInput, GraphInput, BruckReillyInput,
                                    ToeplitzInput, ShiftBundleInput)}
 
 
+def _finite_float(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise InputError(f"number {text} is out of the float range")
+    return x
+
+
+def _no_constant(name):
+    raise InputError(f"{name} is not a JSON number")
+
+
+# the JSON decoder reads NaN, Infinity and overflowing numbers as non-finite
+# floats, which no report may carry: refuse them as they are parsed
+_FINITE = {"parse_float": _finite_float, "parse_constant": _no_constant}
+
+
 def load_input(path_or_doc) -> LoadedInput:
     if isinstance(path_or_doc, dict):
         return validate_document(path_or_doc)(path_or_doc)
     try:
         with open(path_or_doc, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, **_FINITE)
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from None
     except (ValueError, UnicodeDecodeError) as exc:
@@ -438,7 +451,7 @@ def load_fixture(name: str) -> LoadedInput:
     except (FileNotFoundError, OSError):
         raise InputError(f"no fixture named {name!r}; "
                          f"available: {', '.join(list_fixtures())}") from None
-    doc = json.loads(text)
+    doc = json.loads(text, **_FINITE)
     return validate_document(doc)(doc)
 
 

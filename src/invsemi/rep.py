@@ -124,7 +124,10 @@ class RepMatrix:
         return self._dict
 
     def _floats(self) -> np.ndarray:
-        return np.array([to_complex(c) for c in self.values], dtype=complex)[self.vids]
+        z = np.array([to_complex(c) for c in self.values], dtype=complex)
+        if not np.isfinite(z).all():
+            raise InputError("a float matrix entry overflowed")
+        return z[self.vids]
 
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self.values)
@@ -337,7 +340,10 @@ def _extreme_eigvals(M: RepMatrix, picks=(0, -1)):
     for block in blocks:
         for bucket, value in zip(found, _block_eigvals(*block, picks=picks)):
             bucket.append(value)
-    return [min(b) if p == 0 else max(b) for p, b in zip(picks, found)]
+    out = [min(b) if p == 0 else max(b) for p, b in zip(picks, found)]
+    if not all(map(math.isfinite, out)):
+        raise InputError("an eigenvalue is out of the float range")
+    return out
 
 
 def _gram(M: RepMatrix) -> RepMatrix:
@@ -398,6 +404,8 @@ def psd_refute(f, B, rep="lambda", tol=None) -> dict:
     M = _build(f, B, rep)
     if tol is None:
         tol = 1e-9 * max(M.n, 1)
+    elif not math.isfinite(tol):
+        raise InputError(f"tolerance {tol} is not finite")
     value = min_eig(M)
     return {
         "claim": "f is positive",
@@ -413,7 +421,7 @@ def psd_refute(f, B, rep="lambda", tol=None) -> dict:
 # structural identity checks
 # ---------------------------------------------------------------------------
 
-def rep_identity_check(B: Truncation, elements, pairs=None) -> dict:
+def rep_identity_check(B: Truncation, elements) -> dict:
     """Column-wise multiplicativity, adjoint, and Lambda/R commutation.
 
     On a multiplicatively closed basis every check is exact. On a window,
@@ -427,9 +435,7 @@ def rep_identity_check(B: Truncation, elements, pairs=None) -> dict:
     elems = [e for e in elements if not ctx.is_zero(e)]
     checked = skipped = 0
     violations = []
-
-    if pairs is None:
-        pairs = [(s, t) for s in elems for t in elems]
+    pairs = [(s, t) for s in elems for t in elems]
 
     # Lambda(s) Lambda(t) = Lambda(st), column by column
     for s, t in pairs:

@@ -135,7 +135,10 @@ class QQi:
         return self.re != 0 or self.im != 0
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise InputError("an exact coefficient is out of the float range") from None
 
     def sqrt_exact(self):
         """Principal square root if it lies in Q(i), else None."""
@@ -214,7 +217,10 @@ def scalar_to_json(x):
 def scalar_from_json(d):
     try:
         if isinstance(d, dict) and d.get("float"):
-            return complex(float(d["re"]), float(d["im"]))
+            z = complex(float(d["re"]), float(d["im"]))
+            if not cmath.isfinite(z):
+                raise ValueError("a float scalar must be finite")
+            return z
         return QQi(_as_fraction(d["re"]), _as_fraction(d.get("im", 0)))
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad scalar {d!r}: {exc}") from None

@@ -36,12 +36,11 @@ from invsemi.graphs import (
     GraphContext,
     PathPair,
     enumerate_pairs,
-    fiber_support,
     graph_grading,
     grading_phi,
 )
 from invsemi.scalars import QQi
-from util import rand_qqi, rand_qqi_nonzero, raw_compose
+from util import graph_fiber, rand_qqi, rand_qqi_nonzero, raw_compose
 
 
 def rand_pb(rng, n=3):
@@ -200,6 +199,13 @@ def test_convolution_hand_oracle_one_loop():
 # gradings and the restriction expectation
 # ---------------------------------------------------------------------------
 
+def test_grading_fibers_keep_listed_order():
+    grading = Grading(None, INTEGERS, lambda x: x % 3)
+    fibers = grading.fibers([5, 3, 2, 6, 8, 5, 4])
+    assert list(fibers.items()) == [(2, [5, 2, 8, 5]), (0, [3, 6]), (1, [4])]
+    assert grading.fibers([]) == {}
+
+
 def test_fiber_decompose_sums_back():
     rng = random.Random(5)
     g = bouquet(["e", "f"])
@@ -290,7 +296,7 @@ def test_kernel_witness_on_single_graph_fiber():
     ctx = GraphContext(g)
     grading = graph_grading(g)
     for trial in range(10):
-        support = fiber_support(g, [("e", 1)], [("f", 1)], 2)
+        support = graph_fiber(g, [("e", 1)], [("f", 1)], 2)
         f = AlgebraElement(ctx, [(rng.choice(support), rand_qqi_nonzero(rng))
                                  for _ in range(4)])
         w = sos_witness_idempotent_kernel(f, grading)
@@ -320,7 +326,7 @@ def test_coset_witness_recovers_square():
              ([("e", 1), ("f", 1)], [("e", 1)]),
              ([], [("f", 1), ("f", 1)])]
     for s_word, t_word in words:
-        support = fiber_support(g, s_word, t_word, 2)
+        support = graph_fiber(g, s_word, t_word, 2)
         for _ in range(5):
             f = AlgebraElement(ctx, [(rng.choice(support), rand_qqi_nonzero(rng))
                                      for _ in range(3)])

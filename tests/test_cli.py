@@ -6,11 +6,16 @@ witness, 2 bad input) and the byte-stability of reports are what is asserted,
 not internal call results.
 """
 
+import io
 import json
 import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invsemi.cli import main
 
@@ -526,6 +531,107 @@ def test_float_group_table_cell_is_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "$.group.table[0][1]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, fixture, kind", [
+    ("orthogonality", "br_z2_id", "graph"),
+    ("factorize", "toeplitz_z2", "graph"),
+    ("ql-check", "bouquet2", "toeplitz"),
+    ("toeplitz-oracle", "clifford_z2", "toeplitz"),
+])
+def test_kind_mismatch_names_command_and_kind(capsys, command, fixture, kind):
+    code, out, err = run(capsys, [command, "--input", fixture, "--seed", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {command} needs a {kind} document\n"
+
+
+# NaN, Infinity and 1e999 parse to non-finite floats unless the loader
+# refuses them; a report carrying one is not JSON
+@pytest.mark.parametrize("scalar", [
+    "NaN", "Infinity", "1e999", '{"re": "nan", "im": "0", "float": true}'])
+def test_non_finite_float_is_input_error(capsys, tmp_path, scalar):
+    p = tmp_path / "doc.json"
+    p.write_text('{"kind": "semigroup", "table": [[0]], '
+                 '"element": {"terms": [[0, %s]]}}' % scalar)
+    code, out, err = run(capsys, ["psd", "--input", str(p)])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("command", ["psd", "norm-bound"])
+@pytest.mark.parametrize("terms", [
+    [[0, "1e400"]],                   # exact, past the float range
+    [[0, 1e308], [1, 1e308]],         # finite floats whose sum overflows
+])
+def test_coefficient_past_float_range_is_input_error(capsys, tmp_path, command, terms):
+    doc = {"kind": "semigroup", "table": [[0, 1], [1, 1]], "element": {"terms": terms}}
+    code, out, err = run(capsys, [command], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "float range" in err or "overflowed" in err
+
+
+def test_eigenvalue_past_float_range_is_input_error(capsys, tmp_path):
+    # every entry is finite, but the norm 1e308 (1 + 2 cos(pi/7)) is not
+    b_star = {"map": [[k + 1, k] for k in range(6)]}
+    doc = {"kind": "shift_bundle", "window": 5,
+           "element": {"terms": [["e", 1e308], ["b", 1e308], [b_star, 1e308]]}}
+    code, out, err = run(capsys, ["norm-bound"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "eigenvalue is out of the float range" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_input_error(capsys, tmp_path, tol):
+    doc = {"kind": "shift_bundle", "window": 5, "element": {"terms": [["e", "1"]]}}
+    code, out, err = run(capsys, ["psd", "--tol", tol], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+# a few elements of one fixture of each kind
+FLOAT_POOLS = {
+    "clifford_z2": ["0.0", "0.1", "1.0", "1.1"],
+    "bouquet1": [{"mu": [], "nu": [], "vertex": "v"}, {"mu": [0], "nu": []},
+                 {"mu": [0], "nu": [0]}, {"mu": [0, 0], "nu": [0]}],
+    "br_z2_id": [[1, "g", 1], [2, "1", 0], [0, "g", 0], [0, "1", 0]],
+    "toeplitz_z2": [[[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 1]]],
+    "shift_window5": ["a", "e", "b"],
+}
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOAT_SCALAR = FINITE | st.builds(
+    lambda re, im: {"re": repr(re), "im": repr(im), "float": True}, FINITE, FINITE)
+
+
+@settings(max_examples=40)
+@given(fixture=st.sampled_from(sorted(FLOAT_POOLS)),
+       command=st.sampled_from(["epsilon", "fibers", "sos-witness", "psd",
+                                "norm-bound", "factorize"]),
+       data=st.data())
+def test_float_coefficients_give_json_or_input_error(tmp_path_factory, fixture, command, data):
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(FLOAT_POOLS[fixture]), FLOAT_SCALAR),
+                               min_size=1, max_size=4))
+    doc = json.loads((resources.files("invsemi") / "fixtures" / f"{fixture}.json")
+                     .read_text(encoding="ascii"))
+    doc.update(element={"terms": [list(t) for t in terms]}, s=[[0, 1]], t=[])
+    p = tmp_path_factory.mktemp("floats") / "doc.json"
+    p.write_text(json.dumps(doc, allow_nan=False))
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        code = main([command, "--input", str(p)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert stdout.getvalue() == ""
+    else:
+        json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
 
 
 def test_e_unitary_and_group_image_agree_on_witness(capsys):

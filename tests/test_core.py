@@ -18,7 +18,6 @@ from invsemi.core import (
     materialize_context,
     max_group_image,
     natural_leq,
-    omega_coset,
     omega_coset_diagnostic,
     omega_coset_partition,
     upward_closure,
@@ -261,15 +260,14 @@ def test_upward_closure_chain_example():
 def test_omega_coset_rejects_not_upward_closed():
     S = chain_semilattice()
     with pytest.raises(NotUpwardClosed):
-        omega_coset(0, {1}, S)
+        omega_coset_diagnostic({1}, S)
 
 
 def test_omega_coset_chain_overlap_diagnostic():
     S = chain_semilattice()
     # H = {e}: up(fH) = {e, f} while up(eH) = {e}, so no partition
-    assert omega_coset(0, {0}, S) == frozenset({0})
-    assert omega_coset(1, {0}, S) == frozenset({0, 1})
     diag = omega_coset_diagnostic({0}, S)
+    assert diag["cosets"] == [[0], [0, 1]]
     assert not diag["is_partition"]
     assert diag["overlap"] is not None
 

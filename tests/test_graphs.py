@@ -15,7 +15,6 @@ from invsemi.graphs import (
     GraphContext,
     PathPair,
     enumerate_pairs,
-    fiber_support,
     grading_phi,
     longest_path,
     multiply_pairs,
@@ -26,7 +25,7 @@ from invsemi.graphs import (
     star_pair,
 )
 from invsemi.words import free_reduce, word_inv
-from util import rand_qqi_nonzero, rand_square_qqi
+from util import graph_fiber, rand_qqi_nonzero, rand_square_qqi
 
 
 def bouquet(loops):
@@ -245,51 +244,8 @@ def test_grading_phi_multiplicative_and_star():
 
 
 # ---------------------------------------------------------------------------
-# fibers
+# orthogonality
 # ---------------------------------------------------------------------------
-
-def brute_fiber(graph, s_word, t_word, L):
-    word = free_reduce(tuple(s_word) + word_inv(t_word))
-    a_len = sum(1 for _, sg in word if sg == 1)
-    b_len = len(word) - a_len
-    out = set()
-    for p in enumerate_pairs(graph, L + max(a_len, b_len)):
-        if grading_phi(p) == word and len(p.mu) <= a_len + L and len(p.nu) <= b_len + L:
-            out.add(p)
-    return out
-
-
-def test_fiber_support_vs_brute():
-    cases = [
-        (bouquet(["e", "f"]), [("e", 1), ("f", 1)], [("f", 1)]),
-        (bouquet(["e", "f"]), [("e", 1)], [("f", 1)]),
-        (bouquet(["e", "f"]), [], [("f", 1), ("f", 1)]),
-        (bouquet(["e", "f"]), [], []),
-        (two_vertex(), [("x", 1)], []),
-        (two_vertex(), [("e", 1), ("x", 1)], [("x", 1)]),
-        (two_vertex(), [], []),
-    ]
-    for graph, s_word, t_word in cases:
-        got = fiber_support(graph, s_word, t_word, 2)
-        assert len(set(got)) == len(got)
-        assert set(got) == brute_fiber(graph, s_word, t_word, 2)
-
-
-def test_fiber_support_unrealizable_word():
-    g = two_vertex()
-    assert fiber_support(g, [("x", 1), ("x", 1)], [], 2) == []
-    # legs land at different vertices: x ends at v, nothing pairs with a
-    # u-loop, so a degree like x y^-1 with y from another vertex is empty
-    assert fiber_support(g, [("x", 1)], [("e", 1), ("x", 1)], 2) != []
-    bad = DirectedGraph(["u", "v"], [("x", "u", "v"), ("y", "v", "u")])
-    assert fiber_support(bad, [("x", 1)], [("y", 1)], 2) == []
-
-
-def test_fiber_support_rejects_mixed_word():
-    g = bouquet(["e", "f"])
-    with pytest.raises(NotPositivePair):
-        fiber_support(g, [("e", -1), ("f", 1)], [], 2)
-
 
 def test_orthogonality_exhaustive():
     b2 = bouquet(["e", "f"])
@@ -325,7 +281,7 @@ def test_factorize_square_coefficients_exact():
     g = bouquet(["e", "f"])
     ctx = GraphContext(g)
     s_word, t_word = [("e", 1)], [("f", 1)]
-    support = fiber_support(g, s_word, t_word, 2)
+    support = graph_fiber(g, s_word, t_word, 2)
     assert len(support) == 7
     f = AlgebraElement(ctx, [(p, rand_square_qqi(rng)) for p in support])
     factors = check_factorization(f, s_word, t_word)
@@ -339,7 +295,7 @@ def test_factorize_longer_mid():
     g = bouquet(["e", "f"])
     ctx = GraphContext(g)
     s_word, t_word = [("e", 1)], [("f", -1)]
-    support = fiber_support(g, s_word, t_word, 1)
+    support = graph_fiber(g, s_word, t_word, 1)
     f = AlgebraElement(ctx, [(p, rand_square_qqi(rng)) for p in support])
     check_factorization(f, s_word, t_word)
 
@@ -348,7 +304,7 @@ def test_factorize_idempotent_fiber_spans_vertices():
     rng = random.Random(22)
     g = two_vertex()
     ctx = GraphContext(g)
-    support = fiber_support(g, [], [], 2)
+    support = graph_fiber(g, [], [], 2)
     assert {p.mu.base for p in support} == {"u", "v"}
     f = AlgebraElement(ctx, [(p, rand_square_qqi(rng)) for p in support])
     check_factorization(f, [], [])
@@ -371,7 +327,7 @@ def test_factorize_random_sweep():
         s_word, t_word = word[:j], word_inv(word[j:])
         if s_word and t_word and s_word[-1] == t_word[-1]:
             continue
-        support = fiber_support(g, s_word, t_word, 2)
+        support = graph_fiber(g, s_word, t_word, 2)
         if not support:
             continue
         chosen = rng.sample(support, rng.randint(1, len(support)))
@@ -384,7 +340,7 @@ def test_factorize_float_coefficients():
     g = bouquet(["e", "f"])
     ctx = GraphContext(g)
     s_word, t_word = [("e", 1)], [("f", 1)]
-    support = fiber_support(g, s_word, t_word, 1)
+    support = graph_fiber(g, s_word, t_word, 1)
     f = AlgebraElement(ctx, [(p, 0.3) for p in support])
     factors = check_factorization(f, s_word, t_word)
     assert not all(l.is_exact() for l, _ in factors)
@@ -396,6 +352,14 @@ def test_factorize_rejects_junction_cancellation():
     f = AlgebraElement(ctx, [(PathPair(g.path(("e",)), g.path(("e",))), 1)])
     with pytest.raises(CancellationPresent):
         semisaturation_factorize(f, [("e", 1)], [("e", 1)])
+
+
+def test_factorize_rejects_mixed_word():
+    # e^-1 f is reduced but not of the form a b^-1
+    g = bouquet(["e", "f"])
+    f = AlgebraElement(GraphContext(g), [(PathPair(g.path(("e",)), g.path(("f",))), 1)])
+    with pytest.raises(NotPositivePair):
+        semisaturation_factorize(f, [("e", -1), ("f", 1)], [])
 
 
 def test_factorize_rejects_unreduced_words():

@@ -5,7 +5,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from invsemi.graphs import enumerate_pairs, graph_grading
 from invsemi.scalars import QQi
+from invsemi.words import free_reduce, word_inv
+
+
+def graph_fiber(graph, s_word, t_word, L):
+    """The fiber over red(s t^-1) = a b^-1 of the pairs (a w, b w) with
+    |w| <= L: legs of length up to L plus the longer of a and b."""
+    word = free_reduce(tuple(s_word) + word_inv(tuple(t_word)))
+    leg = max(sum(e == 1 for _, e in word), sum(e == -1 for _, e in word))
+    return graph_grading(graph).fibers(enumerate_pairs(graph, L + leg)).get(word, [])
 
 
 # -- raw dict-based partial map oracle (independent of PartialBijection) ----
