@@ -15,6 +15,7 @@ recomputation, never assumed.
 
 from __future__ import annotations
 
+import cmath
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -254,8 +255,13 @@ def _single_fiber(f: AlgebraElement, grading: Grading):
 
 
 def _verified_witness(f_g: AlgebraElement, witness: AlgebraElement, name: str):
-    """Return the witness once f'* f' = f* f holds exactly; raise otherwise."""
-    if convolve(involution(witness), witness) != convolve(involution(f_g), f_g):
+    """Return the witness once f'* f' = f* f holds exactly; raise otherwise.
+    Float coefficients whose squares overflow are bad input, not a failure."""
+    lhs, rhs = (convolve(involution(x), x) for x in (witness, f_g))
+    if not all(is_exact(c) or cmath.isfinite(c)
+               for c in chain(lhs.terms.values(), rhs.terms.values())):
+        raise InputError(f"{name} witness: f'* f' or f* f overflows the float range")
+    if lhs != rhs:
         raise WitnessFailure(f"{name} witness failed f'* f' = f* f",
                              witness=(f_g.terms, witness.terms))
     return witness

@@ -128,7 +128,7 @@ def br_refined_grading(ctx: BRContext) -> Grading:
                    lambda p: (p[0] - p[2], p[1]))
 
 
-def br_omega_coset_check(ctx: BRContext, M: int, degrees=None) -> dict:
+def br_omega_coset_check(ctx: BRContext, M: int) -> dict:
     """Windowed check that upward closures of rep-translated kernels are
     exactly the degree fibers.
 
@@ -136,8 +136,7 @@ def br_omega_coset_check(ctx: BRContext, M: int, degrees=None) -> dict:
     which is wide enough that every fiber element t of the base window sees
     s (s* t) below it. Returns per-degree verdicts.
     """
-    if degrees is None:
-        degrees = range(-M, M + 1)
+    degrees = range(-M, M + 1)
     grading = br_grading(ctx)
     window = br_window(ctx, M)
     fibers = grading.fibers(window)
@@ -148,11 +147,10 @@ def br_omega_coset_check(ctx: BRContext, M: int, degrees=None) -> dict:
         translated = {ctx.product(s, h) for h in kernel_big}
         upward = {t for t in window if any(natural_leq(u, t, ctx) for u in translated)}
         per_degree[k] = upward == set(fibers.get(k, ()))
-    covered = sorted(degrees)
     return {
         "window": M,
-        "degrees": covered,
-        "failures": [k for k in covered if not per_degree[k]],
+        "degrees": list(degrees),
+        "failures": [k for k in degrees if not per_degree[k]],
         "ok": all(per_degree.values()),
     }
 

@@ -82,7 +82,8 @@ class DirectedGraph:
         return Path((), v, v)
 
     def path(self, edge_seq, base=None) -> Path:
-        """Build a path from edge ids, most significant first, validating joints."""
+        """Build a path from edge ids, most significant first, validating
+        joints; a given base must be the source of a nonempty path."""
         edges = tuple(edge_seq)
         if not edges:
             if base is None:
@@ -94,17 +95,10 @@ class DirectedGraph:
         for i in range(len(edges) - 1):
             if self.src[edges[i]] != self.rng[edges[i + 1]]:
                 raise InputError(f"edges {edges[i+1]!r},{edges[i]!r} do not compose")
+        if base is not None and base != self.src[edges[-1]]:
+            raise InputError(f"path {list(edges)} starts at {self.src[edges[-1]]!r}, "
+                             f"not at vertex {base!r}")
         return Path(edges, self.src[edges[-1]], self.rng[edges[0]])
-
-    def concat(self, p: Path, q: Path) -> Path:
-        """p after q; requires s(p) = r(q)."""
-        if p.base != q.head:
-            raise InputError("paths do not concatenate")
-        if not p.edges:
-            return q
-        if not q.edges:
-            return p
-        return Path(p.edges + q.edges, q.base, p.head)
 
 
 @dataclass(frozen=True)
@@ -119,13 +113,6 @@ class PathPair:
 
 
 class _ZeroPair:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "0"
 
@@ -140,32 +127,28 @@ def pair(graph: DirectedGraph, mu: Path, nu: Path) -> PathPair:
 
 
 def multiply_pairs(p, q):
-    """Three-case product; ZERO_PAIR absorbs.
+    """Product by the junction rule; ZERO_PAIR absorbs.
 
-    (mu, nu)(alpha, beta) is (mu, beta nu') when nu = alpha nu', is
-    (mu alpha', beta) when alpha = nu alpha', and is zero otherwise. An empty
-    alpha or nu matches only when the junction vertex agrees.
+    (mu, nu)(alpha, beta) is nonzero exactly when nu and alpha end at the
+    same vertex and one is a prefix of the other: it is (mu, beta nu') when
+    nu = alpha nu' and (mu alpha', beta) when alpha = nu alpha'. A leg and its
+    extension share a head, and an empty leg's head is its base, so the new
+    leg's vertices are read off the legs themselves.
     """
     if p is ZERO_PAIR or q is ZERO_PAIR:
         return ZERO_PAIR
-    nu, alpha, beta = p.nu, q.mu, q.nu
+    nu, alpha = p.nu, q.mu
+    if nu.head != alpha.head:
+        return ZERO_PAIR
     ne, ae = nu.edges, alpha.edges
-    if ne[:len(ae)] == ae and (ae or nu.head == alpha.base):
-        rest = ne[len(ae):]
-        if not rest:
-            return PathPair(p.mu, beta)
-        rest_head = alpha.base if ae else nu.head
-        new_nu = Path(beta.edges + rest, nu.base,
-                      beta.head if beta.edges else rest_head)
-        return PathPair(p.mu, new_nu)
-    if ae[:len(ne)] == ne and (ne or alpha.head == nu.base):
-        rest = ae[len(ne):]
-        # rest is nonempty: full overlap was already taken by the first case
-        rest_head = nu.base if ne else alpha.head
+    if ne[:len(ae)] == ae:
+        if len(ne) == len(ae):
+            return PathPair(p.mu, q.nu)
+        beta = q.nu
+        return PathPair(p.mu, Path(beta.edges + ne[len(ae):], nu.base, beta.head))
+    if ae[:len(ne)] == ne:
         mu = p.mu
-        new_mu = Path(mu.edges + rest, alpha.base,
-                      mu.head if mu.edges else rest_head)
-        return PathPair(new_mu, q.nu)
+        return PathPair(Path(mu.edges + ae[len(ne):], alpha.base, mu.head), q.nu)
     return ZERO_PAIR
 
 
@@ -271,10 +254,11 @@ def paths_up_to(graph: DirectedGraph, L: int):
         raise InputError("length bound must be >= 0")
     level = [graph.empty_path(v) for v in sorted(graph.vertices, key=str)]
     out = list(level)
+    ids = sorted(graph.edge_ids, key=str)
     for _ in range(L):
         nxt = []
         for p in level:
-            for eid in sorted(graph.edge_ids, key=str):
+            for eid in ids:
                 if graph.src[eid] == p.head:
                     nxt.append(Path((eid,) + p.edges, p.base, graph.rng[eid]))
         out.extend(nxt)
@@ -418,28 +402,15 @@ def semisaturation_factorize(f: AlgebraElement, s_word, t_word):
 
     by_len = {}
     for elem, c in f.terms.items():
-        if elem is ZERO_PAIR:
-            continue
         mu, nu = elem.mu, elem.nu
-        if mu.edges[:len(a_edges)] != a_edges or nu.edges[:len(b_edges)] != b_edges:
+        w = mu.edges[len(a_edges):]
+        if (mu.edges[:len(a_edges)] != a_edges or nu.edges != b_edges + w
+                or mu.base != nu.base):
             raise UnsupportedCoefficient("support element outside the fiber",
                                          witness=elem)
-        w_mu, w_nu = mu.edges[len(a_edges):], nu.edges[len(b_edges):]
-        if w_mu != w_nu or mu.base != nu.base:
-            raise UnsupportedCoefficient("support element outside the fiber",
-                                         witness=elem)
-        try:
-            w = graph.path(w_mu, base=mu.base)
-            aw = graph.concat(graph.path(a_edges, base=w.head), w)
-            bw = graph.concat(graph.path(b_edges, base=w.head), w)
-            mw = graph.concat(graph.path(mid_edges, base=w.head), w)
-        except InputError as exc:
-            raise UnsupportedCoefficient(f"support element does not fit the fiber: {exc}",
-                                         witness=elem) from None
-        if aw != mu or bw != nu:
-            raise UnsupportedCoefficient("support element outside the fiber",
-                                         witness=elem)
-        by_len.setdefault(len(w_mu), []).append((aw, mw, bw, principal_sqrt(c)))
+        # mu = a w and nu = b w, and mid w is a suffix of one of them
+        mw = graph.path(mid_edges + w, base=mu.base)
+        by_len.setdefault(len(w), []).append((mu, mw, nu, principal_sqrt(c)))
 
     factors = [(AlgebraElement(ctx, [(PathPair(aw, mw), r) for aw, mw, _, r in legs]),
                 AlgebraElement(ctx, [(PathPair(mw, bw), r) for _, mw, bw, r in legs]))

@@ -268,15 +268,10 @@ class GraphInput(LoadedInput):
                 isinstance(e, str) or _is_int(e) for e in leg) for leg in (mu, nu)):
             raise InputError(f"mu and nu must be lists of edge ids, got {doc!r}")
         base = doc.get("vertex")
-        if base is not None and not (isinstance(base, str) or _is_int(base)):
-            raise InputError(f"vertex must be a vertex id, got {base!r}")
         if base is None:
-            leg = mu or nu
-            if not leg:
-                raise InputError("empty legs need a vertex field")
-            if leg[-1] not in g.src:
-                raise InputError("unknown edge in mu/nu")
-            base = g.src[leg[-1]]
+            base = g.path(mu or nu).base
+        elif not (isinstance(base, str) or _is_int(base)):
+            raise InputError(f"vertex must be a vertex id, got {base!r}")
         return pair(g, g.path(mu, base=base), g.path(nu, base=base))
 
     def encode_nonzero(self, e):

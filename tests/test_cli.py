@@ -173,6 +173,20 @@ def test_sos_witness_bad_rep_exits_one_with_witness(capsys, tmp_path):
     assert report["error"]["witness"]
 
 
+@pytest.mark.parametrize("c, code", [(1e100, 0), (1e160, 2)])
+def test_sos_witness_float_overflow_is_input_error(capsys, tmp_path, c, code):
+    # f = c (0.1) - c (1.1); at c = 1e160 the coefficients of f* f pass 1e308
+    doc = json.loads((resources.files("invsemi") / "fixtures" / "clifford_z2.json")
+                     .read_text(encoding="ascii"))
+    doc.update(mode="coset", rep="1.1", element={"terms": [["0.1", c], ["1.1", -c]]})
+    got, out, err = run(capsys, ["sos-witness"], doc, tmp_path)
+    assert got == code
+    if code:
+        assert out == "" and "overflow" in err
+    else:
+        assert json.loads(out)["mode"] == "coset"
+
+
 # ---------------------------------------------------------------------------
 # check commands
 # ---------------------------------------------------------------------------
@@ -460,6 +474,21 @@ def test_graph_element_with_non_list_leg_is_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "mu and nu" in err and "Traceback" not in err
+
+
+def test_graph_element_vertex_must_be_the_legs_source(capsys, tmp_path):
+    # edge 0 runs u -> v, so a pair of nonempty legs sits at u, never at v
+    elem = {"mu": [0], "nu": [0], "vertex": "v"}
+    doc = {"kind": "graph", "vertices": ["u", "v"],
+           "edges": [{"id": 0, "src": "u", "rng": "v"}], "elements": [elem, elem]}
+    code, out, err = run(capsys, ["product"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "'v'" in err and "Traceback" not in err
+    doc["elements"] = [dict(elem, vertex="u")] * 2
+    code, out, _ = run(capsys, ["product"], doc, tmp_path)
+    assert code == 0
+    assert json.loads(out)["product"]["vertex"] == "u"
 
 
 def test_shift_map_with_short_pair_is_input_error(capsys, tmp_path):

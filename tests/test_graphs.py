@@ -57,6 +57,14 @@ def test_path_building_and_joints():
         g.empty_path("w")
 
 
+def test_path_checks_a_given_base():
+    g = two_vertex()
+    assert g.path(("e", "x"), base="u") == g.path(("e", "x"))
+    assert g.path((), base="v") == g.empty_path("v")
+    with pytest.raises(InputError):
+        g.path(("x",), base="v")  # src(x) = u
+
+
 def test_graph_validation():
     with pytest.raises(InputError):
         DirectedGraph(["u", "u"], [])
@@ -64,17 +72,6 @@ def test_graph_validation():
         DirectedGraph(["u"], [("a", "u", "u"), ("a", "u", "u")])
     with pytest.raises(InputError):
         DirectedGraph(["u"], [("a", "u", "w")])
-
-
-def test_concat():
-    g = two_vertex()
-    x, e = g.path(("x",)), g.path(("e",))
-    ex = g.concat(e, x)
-    assert ex.edges == ("e", "x") and ex.base == "u" and ex.head == "v"
-    assert g.concat(x, g.empty_path("u")) == x
-    assert g.concat(g.empty_path("v"), x) == x
-    with pytest.raises(InputError):
-        g.concat(x, e)  # s(x)=u, r(e)=v
 
 
 def test_paths_up_to_counts_and_order():

@@ -1,0 +1,32 @@
+"""The benchmark's set-up step stays runnable against the library.
+
+`perfbench/run.py` builds every op of a workload and runs one warm-up op of
+each kind with its oracle check before it times anything; an exception there
+makes the run exit 1. Running that step here catches a renamed function, a
+changed signature or a missing report field that the benchmark reads.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def run_module(monkeypatch):
+    """perfbench/run.py imported with perfbench/ first on sys.path; the
+    benchmark's top-level modules are dropped again afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("run")
+    for name, module in list(sys.modules.items()):
+        if Path(getattr(module, "__file__", None) or "").parent == PERFBENCH:
+            del sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", ["spectral", "exact"])
+def test_setup_runs_every_warmup_check(run_module, workload, tmp_path):
+    ops = run_module.setup(workload, 9001, tmp_path)
+    assert ops
