@@ -26,8 +26,8 @@ from .families import (br_coset_rep, br_grading, br_omega_coset_check,
                        br_refined_grading, br_window, br_z2_contexts,
                        example62, tq_grading, tq_oracle_check, tq_window,
                        TQContext)
-from .graphs import (GraphContext, enumerate_pairs, grading_phi, graph_grading,
-                     orthogonality_check, pair, semisaturation_factorize)
+from .graphs import (GraphContext, PathPair, enumerate_pairs, grading_phi, graph_grading,
+                     orthogonality_check, semisaturation_factorize)
 from .jsonio import load_fixture
 from .rep import (Truncation, action_matrix, coaction_unitary_check,
                   epsilon_faithfulness_check, h_block_check, min_eig,
@@ -186,7 +186,7 @@ def criterion_4(seed=0):
         for w in dict.fromkeys(tails):
             aw = graph.path(a_edges + w, base=v)
             bw = graph.path(b_edges + w, base=v)
-            f = f + AlgebraElement(ctx, [(pair(graph, aw, bw), _rand_square(rng))])
+            f = f + AlgebraElement(ctx, [(PathPair(aw, bw), _rand_square(rng))])
         if not f:
             continue
         try:

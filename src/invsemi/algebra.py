@@ -315,50 +315,45 @@ def _elem_label(ctx, e):
     return str(e)
 
 
-def _nonzero_products(ctx, elems, rows):
-    """Yield (i, j, p) for every pair of listed elements whose product p is
-    nonzero, left index i in the order of `rows`, j ascending; pairs the
-    context's partner index rules out are never multiplied, and each other
-    product is evaluated once."""
-    partners = ctx.partners(elems)
-    product, is_zero = ctx.product, ctx.is_zero
-    for i in rows:
-        a = elems[i]
-        for j in partners(a):
-            p = product(a, elems[j])
-            if not is_zero(p):
-                yield i, j, p
-
-
 def _graded_scan(grading: Grading, elements):
     """Grade the nonzero listed elements and scan their nonzero products.
 
     Returns the elements, their fibers (degree -> members, in order of first
     appearance), the fiber index of each element, and (i, j, product degree,
     expected degree) for every nonzero product whose degree is not the
-    expected one, in ascending (i, j). Each product is graded once and no
-    product degree is kept. Left elements are taken fiber by fiber, so the
-    expected degree is computed once per pair of fibers and kept only while
-    its left fiber is scanned.
+    expected one, in ascending (i, j). Every pair the context's partner index
+    does not rule out is multiplied, and every nonzero product's degree is
+    compared. Left elements are taken fiber by fiber: the expected degree is
+    computed once per pair of fibers, equal products within one left fiber
+    are graded once, and both are kept only while that fiber is scanned.
     """
     ctx = grading.context
-    mul = grading.group.mul
-    elems = [e for e in elements if not ctx.is_zero(e)]
+    mul, degree = grading.group.mul, grading.degree
+    product, is_zero = ctx.product, ctx.is_zero
+    elems = [e for e in elements if not is_zero(e)]
     fibers = grading.fibers(elems)
     degrees = list(fibers)
     where = {e: k for k, members in enumerate(fibers.values()) for e in members}
     fiber_of = [where[e] for e in elems]
-    rows = sorted(range(len(elems)), key=fiber_of.__getitem__)
-    left, expected, mismatches = None, {}, []
-    for i, j, p in _nonzero_products(ctx, elems, rows):
+    partners = ctx.partners(elems)
+    left, mismatches = None, []
+    for i in sorted(range(len(elems)), key=fiber_of.__getitem__):
+        a = elems[i]
         if fiber_of[i] != left:
-            left, expected = fiber_of[i], {}
-        got = grading.degree(p)
-        want = expected.get(fiber_of[j])
-        if want is None:
-            want = expected[fiber_of[j]] = mul(degrees[left], degrees[fiber_of[j]])
-        if got != want:
-            mismatches.append((i, j, got, want))
+            left, expected, graded = fiber_of[i], {}, {}
+        for j in partners(a):
+            p = product(a, elems[j])
+            if is_zero(p):
+                continue
+            got = graded.get(p)
+            if got is None:
+                got = graded[p] = degree(p)
+            right = fiber_of[j]
+            want = expected.get(right)
+            if want is None:
+                want = expected[right] = mul(degrees[left], degrees[right])
+            if got != want:
+                mismatches.append((i, j, got, want))
     mismatches.sort()
     return elems, fibers, fiber_of, mismatches
 

@@ -6,7 +6,7 @@ path mu = mu_n ... mu_1 has source s(mu_1) and range r(mu_n), concatenation
 mu . nu requires s(mu) = r(nu), and the tuple of an extended walk grows at
 the front. Every path also records its source (base) and range (head)
 vertices, which keeps products of pairs free of graph lookups even when a
-leg is an empty path.
+leg is an empty path; a pair stores its legs' edge tuples and vertices flat.
 
 The degree of a nonzero pair is the reduced word mu nu^-1 in the free group
 on the edge set. Fibers of that grading are spanned by families (a w, b w)
@@ -101,12 +101,28 @@ class DirectedGraph:
         return Path(edges, self.src[edges[-1]], self.rng[edges[0]])
 
 
-@dataclass(frozen=True)
-class PathPair:
-    """Nonzero element (mu, nu), both paths sharing a source vertex."""
+class PathPair(tuple):
+    """Nonzero element (mu, nu), both paths sharing a source vertex.
 
-    mu: Path
-    nu: Path
+    Stored flat as (mu edges, nu edges, source, mu range, nu range), so
+    products, equality and hashing run on plain tuples; .mu and .nu build
+    the legs as Paths on access.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, mu: Path, nu: Path):
+        if mu.base != nu.base:
+            raise InputError("pair legs must share their source vertex")
+        return tuple.__new__(cls, (mu.edges, nu.edges, mu.base, mu.head, nu.head))
+
+    @property
+    def mu(self) -> Path:
+        return Path(self[0], self[2], self[3])
+
+    @property
+    def nu(self) -> Path:
+        return Path(self[1], self[2], self[4])
 
     def __repr__(self):
         return f"({self.mu!r}|{self.nu!r})"
@@ -120,12 +136,6 @@ class _ZeroPair:
 ZERO_PAIR = _ZeroPair()
 
 
-def pair(graph: DirectedGraph, mu: Path, nu: Path) -> PathPair:
-    if mu.base != nu.base:
-        raise InputError("pair legs must share their source vertex")
-    return PathPair(mu, nu)
-
-
 def multiply_pairs(p, q):
     """Product by the junction rule; ZERO_PAIR absorbs.
 
@@ -133,29 +143,28 @@ def multiply_pairs(p, q):
     same vertex and one is a prefix of the other: it is (mu, beta nu') when
     nu = alpha nu' and (mu alpha', beta) when alpha = nu alpha'. A leg and its
     extension share a head, and an empty leg's head is its base, so the new
-    leg's vertices are read off the legs themselves.
+    pair's vertices are read off the two pairs themselves.
     """
     if p is ZERO_PAIR or q is ZERO_PAIR:
         return ZERO_PAIR
-    nu, alpha = p.nu, q.mu
-    if nu.head != alpha.head:
+    mu, nu, base, mu_head, nu_head = p
+    alpha, beta, alpha_base, alpha_head, beta_head = q
+    if nu_head != alpha_head:
         return ZERO_PAIR
-    ne, ae = nu.edges, alpha.edges
-    if ne[:len(ae)] == ae:
-        if len(ne) == len(ae):
-            return PathPair(p.mu, q.nu)
-        beta = q.nu
-        return PathPair(p.mu, Path(beta.edges + ne[len(ae):], nu.base, beta.head))
-    if ae[:len(ne)] == ne:
-        mu = p.mu
-        return PathPair(Path(mu.edges + ae[len(ne):], alpha.base, mu.head), q.nu)
+    if nu[:len(alpha)] == alpha:
+        return tuple.__new__(PathPair, (mu, beta + nu[len(alpha):], base,
+                                        mu_head, beta_head))
+    if alpha[:len(nu)] == nu:
+        return tuple.__new__(PathPair, (mu + alpha[len(nu):], beta, alpha_base,
+                                        mu_head, beta_head))
     return ZERO_PAIR
 
 
 def star_pair(p):
     if p is ZERO_PAIR:
         return ZERO_PAIR
-    return PathPair(p.nu, p.mu)
+    mu, nu, base, mu_head, nu_head = p
+    return tuple.__new__(PathPair, (nu, mu, base, nu_head, mu_head))
 
 
 class _Letters(dict):
@@ -182,7 +191,7 @@ def grading_phi(p):
     """
     if p is ZERO_PAIR:
         return None
-    mu, nu = p.mu.edges, p.nu.edges
+    mu, nu = p[0], p[1]
     m, n = len(mu), len(nu)
     while m and n and mu[m - 1] == nu[n - 1]:
         m -= 1
@@ -203,14 +212,11 @@ class GraphContext(SemigroupContext):
     def __hash__(self):
         return hash(("graph", self.graph))
 
-    def product(self, a, b):
-        return multiply_pairs(a, b)
+    product = staticmethod(multiply_pairs)
+    star = staticmethod(star_pair)
 
     def is_zero(self, x) -> bool:
         return x is ZERO_PAIR
-
-    def star(self, a):
-        return star_pair(a)
 
     def partners(self, elements):
         """(mu, nu)(alpha, beta) is nonzero only when alpha and nu are
@@ -222,7 +228,7 @@ class GraphContext(SemigroupContext):
         for j, q in enumerate(elements):
             if q is ZERO_PAIR:
                 continue
-            head, edges = q.mu.head, q.mu.edges
+            edges, head = q[0], q[3]
             exact.setdefault((head, edges), []).append(j)
             for k in range(len(edges)):
                 under.setdefault((head, edges[:k]), []).append(j)
@@ -230,7 +236,7 @@ class GraphContext(SemigroupContext):
         def partners(a):
             if a is ZERO_PAIR:
                 return ()
-            head, edges = a.nu.head, a.nu.edges
+            edges, head = a[1], a[4]
             found = list(under.get((head, edges), ()))
             for k in range(len(edges) + 1):
                 found += exact.get((head, edges[:k]), ())

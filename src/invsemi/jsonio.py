@@ -13,8 +13,6 @@ import json
 import math
 from importlib import resources
 
-import jsonschema
-
 from .algebra import AlgebraElement, Grading
 from .core import (FiniteInverseSemigroup, GroupTable, PartialBijection,
                    close_generators, materialize_context, max_group_image)
@@ -22,7 +20,7 @@ from .errors import InputError
 from .families import (BRContext, ShiftBundle, TQContext, br_coset_rep,
                        br_grading, br_window, tq_grading, tq_window)
 from .graphs import (DirectedGraph, GraphContext, ZERO_PAIR, enumerate_pairs,
-                     graph_grading, longest_path, pair)
+                     PathPair, graph_grading, longest_path)
 from .rep import Truncation
 from .scalars import scalar_from_json, scalar_to_json
 from .words import word_to_json
@@ -60,6 +58,8 @@ def validate_document(doc):
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
         raise InputError(f"$.kind: expected one of {sorted(KINDS)}, got {kind!r}")
+    import jsonschema   # loaded on the first document, not with the package
+
     validator = jsonschema.Draft202012Validator(KINDS[kind].schema)
     errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
     if errors:
@@ -272,7 +272,7 @@ class GraphInput(LoadedInput):
             base = g.path(mu or nu).base
         elif not (isinstance(base, str) or _is_int(base)):
             raise InputError(f"vertex must be a vertex id, got {base!r}")
-        return pair(g, g.path(mu, base=base), g.path(nu, base=base))
+        return PathPair(g.path(mu, base=base), g.path(nu, base=base))
 
     def encode_nonzero(self, e):
         return {"mu": list(e.mu.edges), "nu": list(e.nu.edges), "vertex": e.mu.base}

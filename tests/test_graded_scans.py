@@ -5,25 +5,30 @@ no edge leaves), loops and parallel edges allowed, are truncated at L <= 3.
 The graph partner index may skip only pairs that multiply to zero;
 `check_grading`, `bundle_fibers` and `coaction_unitary_check` must report
 exactly what the pair-by-pair loops in `tests/util.py` report, on the honest
-grading and on gradings that lie about one element; and `grading_phi` must
-equal the free reduction of mu nu^-1; `word_mul`, which cancels only at the
-junction of two reduced words, must equal the free reduction of u v. Examples are derandomized so every run
-checks the same cases.
+grading, on gradings that lie about one element, and on gradings that lie
+about a product several pairs of one left fiber reach, which the scans grade
+once; `grading_phi` must equal the free reduction of mu nu^-1; `word_mul`,
+which cancels only at the junction of two reduced words, must equal the free
+reduction of u v. Pairs are stored flat: rebuilding one from its legs gives
+it back, and products and stars must follow the junction rule on Path legs.
+Examples are derandomized so every run checks the same cases.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invsemi.algebra import INTEGERS, Grading, bundle_fibers, check_grading
 from invsemi.families import br_grading, br_window, br_z2_contexts
-from invsemi.graphs import (ZERO_PAIR, DirectedGraph, GraphContext, enumerate_pairs,
-                            grading_phi, graph_grading, multiply_pairs)
+from invsemi.graphs import (ZERO_PAIR, DirectedGraph, GraphContext, PathPair,
+                            enumerate_pairs, grading_phi, graph_grading, multiply_pairs,
+                            star_pair)
 from invsemi.rep import Truncation, coaction_unitary_check
 from invsemi.words import free_reduce, word_inv, word_mul
 
-from util import pairwise_bundle_fibers, pairwise_check_grading, per_g_coaction_check
+from util import (junction_rule, pairwise_bundle_fibers, pairwise_check_grading,
+                  per_g_coaction_check)
 
 MAX_PAIRS = 30
 
@@ -51,6 +56,15 @@ def _lying(grading, culprit, edge):
     return Grading(grading.context, grading.group, degree)
 
 
+def _assert_scans_match_pairwise(grading, pairs):
+    listed = pairs + [ZERO_PAIR]
+    assert check_grading(grading, listed) == pairwise_check_grading(grading, listed)
+    fibers, report = bundle_fibers(listed, grading)
+    want_fibers, want_report = pairwise_bundle_fibers(listed, grading)
+    assert report == want_report
+    assert list(fibers.items()) == list(want_fibers.items())
+
+
 @settings(max_examples=15)
 @given(truncated_graphs())
 def test_partner_index_skips_only_zero_products(drawn):
@@ -71,12 +85,55 @@ def test_graded_scans_match_pairwise_loops(drawn, data):
     culprit = data.draw(st.sampled_from(pairs))
     edge = data.draw(st.sampled_from(g.edge_ids))
     for grading in (honest, _lying(honest, culprit, edge)):
-        listed = pairs + [ZERO_PAIR]
-        assert check_grading(grading, listed) == pairwise_check_grading(grading, listed)
-        fibers, report = bundle_fibers(listed, grading)
-        want_fibers, want_report = pairwise_bundle_fibers(listed, grading)
-        assert report == want_report
-        assert list(fibers.items()) == list(want_fibers.items())
+        _assert_scans_match_pairwise(grading, pairs)
+
+
+@settings(max_examples=15)
+@given(truncated_graphs(), st.data())
+def test_graded_scans_catch_a_lie_about_a_shared_product(drawn, data):
+    g, _, pairs = drawn
+    honest = graph_grading(g)
+    reached = {}
+    for a in pairs:
+        for b in pairs:
+            r = multiply_pairs(a, b)
+            if r is not ZERO_PAIR:
+                key = (r, grading_phi(a))
+                reached[key] = reached.get(key, 0) + 1
+    shared = sorted({r for (r, _), n in reached.items() if n > 1}, key=repr)
+    assume(shared)
+    lying = _lying(honest, data.draw(st.sampled_from(shared)),
+                   data.draw(st.sampled_from(g.edge_ids)))
+    assert not check_grading(lying, pairs)["ok"]
+    _assert_scans_match_pairwise(lying, pairs)
+
+
+@settings(max_examples=15)
+@given(truncated_graphs())
+def test_flat_pairs_rebuild_from_their_legs(drawn):
+    g, _, pairs = drawn
+    for p in pairs:
+        mu, nu = p.mu, p.nu
+        assert mu == g.path(mu.edges, base=mu.base) and nu == g.path(nu.edges, base=mu.base)
+        q = PathPair(mu, nu)
+        assert q == p and hash(q) == hash(p)
+        legs = ["-".join(map(str, leg.edges)) or f"@{leg.base}" for leg in (mu, nu)]
+        assert repr(p) == "({}|{})".format(*legs)
+
+
+@settings(max_examples=15)
+@given(truncated_graphs())
+def test_products_and_stars_follow_the_junction_rule(drawn):
+    g, _, pairs = drawn
+    for p in pairs:
+        s = star_pair(p)
+        assert (s.mu, s.nu) == (p.nu, p.mu)
+        for q in pairs:
+            r, want = multiply_pairs(p, q), junction_rule(g, p, q)
+            if want is None:
+                assert r is ZERO_PAIR
+            else:
+                assert (r.mu, r.nu) == want and r == PathPair(*want)
 
 
 @settings(max_examples=15)

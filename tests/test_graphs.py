@@ -19,7 +19,6 @@ from invsemi.graphs import (
     longest_path,
     multiply_pairs,
     orthogonality_check,
-    pair,
     paths_up_to,
     semisaturation_factorize,
     star_pair,
@@ -114,10 +113,11 @@ def test_longest_path_names_a_cycle():
 
 def test_pair_validator():
     g = two_vertex()
-    with pytest.raises(InputError):
-        pair(g, g.path(("x",)), g.empty_path("v"))
-    p = pair(g, g.path(("x",)), g.empty_path("u"))
+    with pytest.raises(InputError, match="share their source vertex"):
+        PathPair(g.path(("x",)), g.empty_path("v"))
+    p = PathPair(g.path(("x",)), g.empty_path("u"))
     assert p.mu.edges == ("x",)
+    assert p.nu == g.empty_path("u")
 
 
 # ---------------------------------------------------------------------------

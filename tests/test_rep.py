@@ -17,8 +17,8 @@ from invsemi.core import (FiniteInverseSemigroup, IXContext, PartialBijection,
                           max_group_image, natural_leq)
 from invsemi.errors import InputError, NotHermitian
 from invsemi.families import br_grading, br_window, br_z2_contexts, example62
-from invsemi.graphs import (DirectedGraph, GraphContext, enumerate_pairs,
-                            graph_grading, pair)
+from invsemi.graphs import (DirectedGraph, GraphContext, PathPair, enumerate_pairs,
+                            graph_grading)
 from invsemi.rep import (RepMatrix, Truncation, _left, action_matrix,
                          coaction_unitary_check, epsilon_faithfulness_check,
                          h_block_check, lambda_matrix, min_eig,
@@ -187,7 +187,7 @@ def test_lambda_window_drops_are_counted():
     g = bouquet(1)
     ctx = GraphContext(g)
     B = Truncation(ctx, enumerate_pairs(g, 1))
-    long_leg = pair(g, g.path([0]), g.empty_path("v"))
+    long_leg = PathPair(g.path([0]), g.empty_path("v"))
     M = lambda_matrix(long_leg, B)
     assert M.dropped > 0
 

@@ -18,6 +18,20 @@ def graph_fiber(graph, s_word, t_word, L):
     return graph_grading(graph).fibers(enumerate_pairs(graph, L + leg)).get(word, [])
 
 
+def junction_rule(graph, p, q):
+    """The legs (mu', nu') of (mu, nu)(alpha, beta), or None for zero, on
+    Path legs: nu and alpha must end at one vertex and one must be a prefix
+    of the other. The new legs are rebuilt by `graph.path` from the source
+    of the longer of nu and alpha, so their vertices come from the graph."""
+    mu, nu, alpha, beta = p.mu, p.nu, q.mu, q.nu
+    k = min(len(nu), len(alpha))
+    if nu.head != alpha.head or nu.edges[:k] != alpha.edges[:k]:
+        return None
+    if len(nu) >= len(alpha):
+        return mu, graph.path(beta.edges + nu.edges[k:], base=nu.base)
+    return graph.path(mu.edges + alpha.edges[k:], base=alpha.base), beta
+
+
 # -- raw dict-based partial map oracle (independent of PartialBijection) ----
 
 def raw_compose(f: dict, g: dict) -> dict:
