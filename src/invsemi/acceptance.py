@@ -16,18 +16,16 @@ import random
 import time
 from dataclasses import dataclass
 
-from .algebra import (AlgebraElement, Grading, check_grading, convolve,
+from .algebra import (AlgebraElement, check_grading, convolve,
                       sos_witness_coset, sos_witness_idempotent_kernel)
 from .core import (FiniteInverseSemigroup, Homomorphism, close_generators,
-                   idempotents, max_group_image, omega_coset_diagnostic,
+                   idempotents, omega_coset_diagnostic,
                    omega_coset_partition, PartialBijection)
 from .errors import MathAssertionError
-from .families import (br_coset_rep, br_grading, br_omega_coset_check,
-                       br_refined_grading, br_window, br_z2_contexts,
-                       example62, tq_grading, tq_oracle_check, tq_window,
-                       TQContext)
-from .graphs import (GraphContext, PathPair, enumerate_pairs, grading_phi, graph_grading,
-                     orthogonality_check, semisaturation_factorize)
+from .families import (br_omega_coset_check, br_refined_grading, br_window,
+                       br_z2_contexts, example62, tq_oracle_check, TQContext)
+from .graphs import (PathPair, grading_phi, orthogonality_check,
+                     semisaturation_factorize)
 from .jsonio import load_fixture
 from .rep import (Truncation, action_matrix, coaction_unitary_check,
                   epsilon_faithfulness_check, h_block_check, min_eig,
@@ -57,8 +55,7 @@ def _rand_square(rng):
 
 def criterion_1(seed=0):
     sb = example62(5)
-    expected = AlgebraElement(sb.context, [(sb.e, 1), (sb.b, -1),
-                                           (sb.b.inverse(), -1)])
+    expected = AlgebraElement(sb, [(sb.e, 1), (sb.b, -1), (sb.b.inverse(), -1)])
     eps = sb.epsilon_xx_star()
     eps_exact = eps == expected
 
@@ -116,9 +113,9 @@ def criterion_2(seed=0):
 def criterion_3(seed=0):
     rng = random.Random(seed)
     graph_failures = []
-    gradings = [graph_grading(load_fixture(name).structure)
+    gradings = [load_fixture(name).structure.grading()
                 for name in ("bouquet1", "bouquet2")]
-    graph_pools = [g.fibers(enumerate_pairs(g.context.graph, 3)) for g in gradings]
+    graph_pools = [g.fibers(g.context.window(3, 3)) for g in gradings]
     for trial in range(500):
         grading, pools = gradings[trial % 2], graph_pools[trial % 2]
         ctx = grading.context
@@ -138,7 +135,7 @@ def criterion_3(seed=0):
             graph_failures.append({"trial": trial, "error": str(exc)})
 
     br_failures = []
-    br_gradings = [br_grading(ctx) for ctx in br_z2_contexts()]
+    br_gradings = [ctx.grading() for ctx in br_z2_contexts()]
     br_pools = [g.fibers(br_window(g.context, 3)) for g in br_gradings]
     for trial in range(500):
         grading, pools = br_gradings[trial % 2], br_pools[trial % 2]
@@ -150,7 +147,7 @@ def criterion_3(seed=0):
         if not f:
             continue
         try:
-            sos_witness_coset(f, br_coset_rep(ctx, k), grading)
+            sos_witness_coset(f, ctx.coset_rep(k), grading)
         except MathAssertionError as exc:
             br_failures.append({"trial": trial, "error": str(exc)})
 
@@ -169,8 +166,8 @@ def criterion_3(seed=0):
 
 def criterion_4(seed=0):
     rng = random.Random(seed)
-    graph = load_fixture("bouquet2").structure
-    ctx = GraphContext(graph)
+    ctx = load_fixture("bouquet2").structure
+    graph = ctx.graph
     v = graph.vertices[0]
     failures = []
     for trial in range(200):
@@ -215,8 +212,7 @@ def criterion_5(seed=0):
     reports = {}
     ok = True
     for name in ("bouquet2", "two_parallel"):
-        graph = load_fixture(name).structure
-        rep = orthogonality_check(graph, 3)
+        rep = orthogonality_check(load_fixture(name).structure.graph, 3)
         reports[name] = {"checked": rep["checked"], "violations": rep["violations"],
                          "ok": rep["ok"]}
         ok = ok and rep["ok"] and rep["checked"] > 0
@@ -233,32 +229,25 @@ def _grading_summary(rep):
 
 
 def criterion_6(seed=0):
-    detail = {}
-    ok = True
-
-    for name in ("bouquet2", "two_vertex"):
-        g = load_fixture(name).structure
-        rep = check_grading(graph_grading(g), enumerate_pairs(g, 3))
-        detail[f"graph_{name}"] = _grading_summary(rep)
-        ok = ok and rep["ok"] and rep["idempotent_pure"]
-
-    for n in (1, 2):
-        ctx = TQContext(n)
-        rep = check_grading(tq_grading(ctx), tq_window(ctx, 3))
-        detail[f"toeplitz_n{n}"] = _grading_summary(rep)
-        ok = ok and rep["ok"] and rep["idempotent_pure"]
-
+    # (detail key, grading, window, whether its kernel meets the window in
+    # exactly the idempotents): the Z-degree of a BR extension is a grading
+    # whose kernel holds every (m, a, m), so purity is certified by the
+    # refined Z x G degree instead
     untwisted, collapsed = br_z2_contexts()
-    for tag, ctx in (("id", untwisted), ("collapse", collapsed)):
-        rep = check_grading(br_grading(ctx), br_window(ctx, 2))
-        detail[f"br_z2_{tag}_phi"] = _grading_summary(rep)
-        # the Z-degree is a grading but its kernel holds every (m, a, m);
-        # idempotent purity is certified by the refined Z x G degree below
-        ok = ok and rep["ok"] and not rep["idempotent_pure"]
-    rep = check_grading(br_refined_grading(untwisted), br_window(untwisted, 2))
-    detail["br_z2_id_refined"] = _grading_summary(rep)
-    ok = ok and rep["ok"] and rep["idempotent_pure"]
+    contexts = [(f"graph_{name}", load_fixture(name).structure)
+                for name in ("bouquet2", "two_vertex")]
+    contexts += [(f"toeplitz_n{n}", TQContext(n)) for n in (1, 2)]
+    cases = [(key, ctx.grading(), ctx.window(3, 3), True) for key, ctx in contexts]
+    cases += [(f"br_z2_{tag}_phi", ctx.grading(), br_window(ctx, 2), False)
+              for tag, ctx in (("id", untwisted), ("collapse", collapsed))]
+    cases.append(("br_z2_id_refined", br_refined_grading(untwisted),
+                  br_window(untwisted, 2), True))
 
+    detail, ok = {}, True
+    for key, grading, window, pure in cases:
+        rep = check_grading(grading, window)
+        detail[key] = _grading_summary(rep)
+        ok = ok and rep["ok"] and rep["idempotent_pure"] == pure
     return ok, detail
 
 
@@ -281,11 +270,6 @@ def criterion_7(seed=0):
 # 8. representation identities on finite truncations
 # ---------------------------------------------------------------------------
 
-def _universal_grading(S: FiniteInverseSemigroup) -> Grading:
-    G, sigma = max_group_image(S)
-    return Grading(S, G, lambda s: sigma[s])
-
-
 def criterion_8(seed=0):
     detail = {}
     ok = True
@@ -303,7 +287,7 @@ def criterion_8(seed=0):
                                   "ok": all(b["ok"] for b in blocks)}
     ok = ok and all(b["ok"] for b in blocks)
 
-    g5 = _universal_grading(S5)
+    g5 = S5.grading()
     co = coaction_unitary_check(g5, B5, [g5.group.identity],
                                 S5.nonzero_elements())
     detail["closure_coaction"] = {"ok": co["ok"], "checked": co["checked"]}
@@ -316,7 +300,7 @@ def criterion_8(seed=0):
     for tag, ctx in zip(("id", "collapse"), br_z2_contexts()):
         B = Truncation(ctx, br_window(ctx, 2))
         rep = rep_identity_check(B, br_window(ctx, 1))
-        grading = br_grading(ctx)
+        grading = ctx.grading()
         kernel = grading.fibers(br_window(ctx, 2))[0]
         blocks = [h_block_check(h, grading.kernel_member, B) for h in kernel]
         co = coaction_unitary_check(grading, B, range(-2, 3), br_window(ctx, 1))
@@ -345,25 +329,23 @@ def criterion_9(seed=0):
 
     # zero forces a trivial maximum group image
     S5 = close_generators([PartialBijection({0: 1})])
-    G5, _ = max_group_image(S5)
-    Sg, (Gg, _) = load_fixture("two_parallel").finite_semigroup()
+    G5, _ = S5.group_image
+    Sg, (Gg, _) = load_fixture("two_parallel").structure.finite_semigroup()
     detail["trivial_max_images"] = {"closure": G5.n, "two_parallel": Gg.n,
                                     "two_parallel_size": Sg.n}
     ok = ok and G5.n == 1 and Gg.n == 1
 
     # omega-cosets of kernels partition along fibers
     cliff = load_fixture("clifford_z2").structure
-    G, sigma = max_group_image(cliff)
-    cosets = omega_coset_partition(Homomorphism(cliff, G, sigma))
+    cosets = omega_coset_partition(Homomorphism(cliff, *cliff.group_image))
     fibers = {frozenset(members) for members in
-              Grading(cliff, G, sigma.__getitem__).fibers(cliff.elements()).values()}
+              cliff.grading().fibers(cliff.elements()).values()}
     detail["clifford_partition"] = {"cosets": len(cosets),
                                     "matches_fibers": set(cosets) == fibers}
     ok = ok and set(cosets) == fibers
 
     chain = FiniteInverseSemigroup([[0, 1], [1, 1]])
-    Gc, sc = max_group_image(chain)
-    chain_cosets = omega_coset_partition(Homomorphism(chain, Gc, sc))
+    chain_cosets = omega_coset_partition(Homomorphism(chain, *chain.group_image))
     detail["chain_kernel_partition"] = {"cosets": len(chain_cosets)}
     ok = ok and len(chain_cosets) == 1
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple
 
-from .core import GroupTable, SemigroupContext
+from .core import Grading, SemigroupContext
 from .errors import (
     ContextMismatch,
     IdentityMismatch,
@@ -169,6 +168,8 @@ def epsilon_restrict(f: AlgebraElement, H) -> AlgebraElement:
 # gradings
 # ---------------------------------------------------------------------------
 
+# Grading itself lives in core, next to the contexts that build theirs
+
 class GroupOps(NamedTuple):
     """A group as its identity, product and inverse over hashable elements;
     a GroupTable offers the same three names, so a grading takes either."""
@@ -193,30 +194,6 @@ def product_group(left, right) -> GroupOps:
     return GroupOps((left.identity, right.identity),
                     lambda a, b: (left.mul(a[0], b[0]), right.mul(a[1], b[1])),
                     lambda a: (left.inv(a[0]), right.inv(a[1])))
-
-
-@dataclass
-class Grading:
-    """Degree map from the nonzero part of a context into a group.
-
-    The map must send nonzero products multiplicatively; the semigroup zero
-    plays the adjoined zero of the group and is never graded.
-    """
-
-    context: SemigroupContext
-    group: GroupOps | GroupTable
-    degree: Callable
-
-    def kernel_member(self, x) -> bool:
-        return self.degree(x) == self.group.identity
-
-    def fibers(self, elements) -> dict:
-        """{degree: members} over the listed elements, each graded once;
-        degrees and the members of each keep the order they are listed in."""
-        out = {}
-        for e in elements:
-            out.setdefault(self.degree(e), []).append(e)
-        return out
 
 
 def fiber_decompose(f: AlgebraElement, grading: Grading) -> dict:

@@ -100,7 +100,7 @@ def _payload(li: LoadedInput, key):
 # ---------------------------------------------------------------------------
 
 def cmd_product(li, args):
-    ctx = li.context()
+    ctx = li.structure
     elems = [li.decode_element(d) for d in _payload(li, "elements")]
     out = elems[0]
     for e in elems[1:]:
@@ -110,7 +110,7 @@ def cmd_product(li, args):
 
 
 def cmd_order(li, args):
-    ctx = li.context()
+    ctx = li.structure
     docs = _payload(li, "elements")
     if len(docs) != 2:
         raise InputError("'elements' must list exactly two elements")
@@ -126,15 +126,14 @@ def cmd_order(li, args):
 
 
 def cmd_idempotents(li, args):
-    ctx = li.context()
-    found = [e for e in li.basis(args.window, args.length)
-             if ctx.is_idempotent(e)]
+    ctx = li.structure
+    found = [e for e in ctx.window(args.window, args.length) if ctx.is_idempotent(e)]
     return {"count": len(found),
             "idempotents": [li.encode_element(e) for e in found]}
 
 
 def cmd_max_group_image(li, args):
-    S, image = li.finite_semigroup()
+    S, image = li.structure.finite_semigroup()
     G, sigma = image
     return {"order": G.n,
             "group_table": G.table,
@@ -144,7 +143,7 @@ def cmd_max_group_image(li, args):
 
 
 def cmd_e_unitary(li, args):
-    S, image = li.finite_semigroup()
+    S, image = li.structure.finite_semigroup()
     bad = e_unitary_witness(S, image)
     return {"e_unitary": bad is None,
             "witness": None if bad is None else S.labels[bad]}
@@ -155,7 +154,7 @@ def cmd_epsilon(li, args):
     if "subsemigroup" in li.doc:
         member = {li.decode_element(d) for d in li.doc["subsemigroup"]}
     else:
-        member = li.expectation_domain()
+        member = li.structure.expectation_domain()
     restricted = epsilon_restrict(f, member)
     return {"element": li.encode_algebra(f),
             "restricted": li.encode_algebra(restricted),
@@ -164,7 +163,7 @@ def cmd_epsilon(li, args):
 
 def cmd_fibers(li, args):
     f = li.decode_algebra(_payload(li, "element"))
-    parts = fiber_decompose(f, li.grading())
+    parts = fiber_decompose(f, li.structure.grading())
     rows = sorted(
         ((li.encode_degree(d), li.encode_algebra(part))
          for d, part in parts.items()),
@@ -174,14 +173,17 @@ def cmd_fibers(li, args):
 
 def cmd_sos_witness(li, args):
     f = li.decode_algebra(_payload(li, "element"))
-    grading = li.grading()
+    grading = li.structure.grading()
     mode = li.doc.get("mode", "idempotent")
     if mode == "idempotent":
         witness = sos_witness_idempotent_kernel(f, grading)
+    elif "rep" in li.doc:
+        witness = sos_witness_coset(f, li.decode_element(li.doc["rep"]), grading)
     else:
-        rep = (li.decode_element(li.doc["rep"]) if "rep" in li.doc
-               else li.coset_rep(f, grading))
-        witness = sos_witness_coset(f, rep, grading)
+        degrees = list(grading.fibers(f.terms))
+        if len(degrees) != 1:
+            raise InputError("coset witness needs a single-fiber element")
+        witness = sos_witness_coset(f, li.structure.coset_rep(degrees[0]), grading)
     return {"mode": mode,
             "identity": "f'* f' = f* f",
             "witness": li.encode_algebra(witness),
@@ -189,15 +191,17 @@ def cmd_sos_witness(li, args):
 
 
 def cmd_bundle_check(li, args):
-    return bundle_fibers(li.basis(args.window, args.length), li.grading())[1]
+    ctx = li.structure
+    return bundle_fibers(ctx.window(args.window, args.length), ctx.grading())[1]
 
 
 def cmd_grading_check(li, args):
-    return check_grading(li.grading(), li.basis(args.window, args.length))
+    ctx = li.structure
+    return check_grading(ctx.grading(), ctx.window(args.window, args.length))
 
 
 def cmd_orthogonality(li, args):
-    return orthogonality_check(li.structure, args.length)
+    return orthogonality_check(li.structure.graph, args.length)
 
 
 def cmd_factorize(li, args):
@@ -241,11 +245,10 @@ def cmd_norm_bound(li, args):
 
 
 def cmd_coaction_check(li, args):
-    grading = li.grading()
-    basis = li.basis(args.window, args.length)
-    B = Truncation(li.context(), basis)
-    group_window = li.group_window(basis, grading, args.window)
-    return coaction_unitary_check(grading, B, group_window, basis)
+    ctx = li.structure
+    grading, basis = ctx.grading(), ctx.window(args.window, args.length)
+    return coaction_unitary_check(grading, Truncation(ctx, basis),
+                                  ctx.group_window(basis, grading, args.window), basis)
 
 
 def cmd_example62(li, args):
@@ -338,6 +341,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     handler, kind = _COMMANDS[args.command]
     try:
+        if min(args.window, args.length) < 0:
+            raise InputError("--window and --length must be >= 0")
         li = None if kind is None else _load(args)
         if kind not in (None, _ANY) and li.kind != kind:
             raise InputError(f"{args.command} needs a {kind} document")

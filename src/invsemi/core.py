@@ -10,7 +10,9 @@ Three kinds of carrier live here:
   group, used as the target of homomorphisms and maximum group images.
 
 All contexts share the small product/star/is_zero protocol that the algebra
-layer builds on.
+layer builds on, and each answers for its family: its Grading (defined here,
+next to the contexts), the window the graded commands scan, and the hooks of
+SemigroupContext.
 
 On a table of n elements, each structure operation costs about n*k or n^2,
 where k is the size of a generating set: closure walks the right Cayley
@@ -20,7 +22,9 @@ generating set, and the group image unions each s with e*s.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     CapExceeded,
@@ -32,7 +36,14 @@ from .errors import (
 
 
 class SemigroupContext:
-    """Protocol base: product, star, zero test over hashable elements."""
+    """Protocol base: product, star, zero test over hashable elements, and
+    what a family answers for itself.
+
+    A family overrides `grading` and `window`, and each hook below where it
+    differs. A context stores no `Grading` or algebra element over itself:
+    that would tie it into a reference cycle, which only the cycle collector
+    frees.
+    """
 
     zero = None
 
@@ -54,6 +65,58 @@ class SemigroupContext:
         nonzero; a kind that cannot rule a pair out answers all of them."""
         everyone = range(len(elements))
         return lambda a: everyone
+
+    def grading(self) -> Grading:
+        """The family's grading, built anew on each call."""
+        raise NotImplementedError
+
+    def window(self, window, length):
+        """The basis the graded commands scan; a family reads the index
+        window, the length bound, or neither."""
+        raise NotImplementedError
+
+    def finite_semigroup(self):
+        """(S, (G, sigma)): the whole semigroup tabulated, with its group image."""
+        raise InputError("this structure is infinite; use a semigroup or graph document")
+
+    def expectation_domain(self):
+        """Membership predicate of the subsemigroup epsilon restricts to."""
+        return self.grading().kernel_member
+
+    def coset_rep(self, degree):
+        """Representative of the fiber of `degree`, for the coset witness."""
+        raise InputError("coset mode needs a 'rep' element for this structure")
+
+    def group_window(self, basis, grading, window):
+        """Group elements the coaction check twists by: the identity, then
+        each other degree on the basis once."""
+        identity = grading.group.identity
+        return [identity, *(d for d in grading.fibers(basis) if d != identity)]
+
+
+@dataclass
+class Grading:
+    """Degree map from the nonzero part of a context into a group, which is
+    a GroupTable or an algebra.GroupOps.
+
+    The map must send nonzero products multiplicatively; the semigroup zero
+    plays the adjoined zero of the group and is never graded.
+    """
+
+    context: SemigroupContext
+    group: object
+    degree: Callable
+
+    def kernel_member(self, x) -> bool:
+        return self.degree(x) == self.group.identity
+
+    def fibers(self, elements) -> dict:
+        """{degree: members} over the listed elements, each graded once;
+        degrees and the members of each keep the order they are listed in."""
+        out = {}
+        for e in elements:
+            out.setdefault(self.degree(e), []).append(e)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +248,21 @@ class FiniteInverseSemigroup(SemigroupContext):
 
     def nonzero_elements(self):
         return [i for i in range(self.n) if i != self.zero_index]
+
+    @functools.cached_property
+    def group_image(self):
+        """(G, sigma), the maximum group image, computed on first use."""
+        return max_group_image(self)
+
+    def grading(self) -> Grading:
+        G, sigma = self.group_image
+        return Grading(self, G, sigma.__getitem__)
+
+    def window(self, window, length):
+        return self.nonzero_elements()
+
+    def finite_semigroup(self):
+        return self, self.group_image
 
     def product(self, a, b):
         return self.table[a][b]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from .algebra import (
     INTEGERS,
@@ -94,26 +93,35 @@ class BRContext(SemigroupContext):
         m, a, n = p
         return (n, self.group.inv(a), m)
 
+    def grading(self) -> Grading:
+        return Grading(self, INTEGERS, br_phi)
+
+    def window(self, window, length):
+        """All triples with both indices at most `window`, in deterministic order."""
+        return [(m, a, n) for m in range(window + 1) for n in range(window + 1)
+                for a in range(self.group.n)]
+
+    def coset_rep(self, k):
+        """The canonical degree-k element carrying the group identity."""
+        e = self.group.identity
+        return (k, e, 0) if k >= 0 else (0, e, -k)
+
+    def group_window(self, basis, grading, window):
+        """Every degree from -window to window."""
+        return range(-window, window + 1)
+
 
 def br_phi(p) -> int:
     m, _, n = p
     return m - n
 
 
-def br_grading(ctx: BRContext) -> Grading:
-    return Grading(ctx, INTEGERS, br_phi)
+# perfbench and the tests call these by name
+br_grading, br_coset_rep = BRContext.grading, BRContext.coset_rep
 
 
 def br_window(ctx: BRContext, M: int):
-    """All triples with both indices at most M, in deterministic order."""
-    return [(m, a, n) for m in range(M + 1) for n in range(M + 1)
-            for a in range(ctx.group.n)]
-
-
-def br_coset_rep(ctx: BRContext, k: int):
-    """The canonical degree-k element carrying the group identity."""
-    e = ctx.group.identity
-    return (k, e, 0) if k >= 0 else (0, e, -k)
+    return ctx.window(M, 0)   # the length bound does not apply
 
 
 def br_refined_grading(ctx: BRContext) -> Grading:
@@ -166,8 +174,7 @@ def br_z2_contexts():
 # the truncated shift bundle
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ShiftBundle:
+class ShiftBundle(IXContext):
     """Partial shifts on the integer window [-n, n+1].
 
     a is the full forward shift, e the identity on [0, n], b = a e the
@@ -178,22 +185,19 @@ class ShiftBundle:
     term with negative domain and leaves e - b - b* exactly.
     """
 
-    n: int
-    context: IXContext = field(init=False)
-    a: PartialBijection = field(init=False)
-    e: PartialBijection = field(init=False)
-    b: PartialBijection = field(init=False)
-    x: AlgebraElement = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise InputError("window size must be at least 1")
-        n = self.n
-        self.context = IXContext(range(-n, n + 2))
+        super().__init__(range(-n, n + 2))
+        self.n = n
         self.a = PartialBijection({k: k + 1 for k in range(-n, n + 1)})
         self.e = identity_pb(range(0, n + 1))
-        self.b = self.context.product(self.a, self.e)
-        self.x = AlgebraElement(self.context, [(self.e, 1), (self.a, -1)])
+        self.b = self.product(self.a, self.e)
+
+    @property
+    def x(self) -> AlgebraElement:
+        """e - a, built on each access (see SemigroupContext)."""
+        return AlgebraElement(self, [(self.e, 1), (self.a, -1)])
 
     @property
     def action_points(self):
@@ -209,7 +213,14 @@ class ShiftBundle:
         return degs.pop()
 
     def grading(self) -> Grading:
-        return Grading(self.context, INTEGERS, self.shift_degree)
+        return Grading(self, INTEGERS, self.shift_degree)
+
+    def window(self, window, length):
+        """e, b and a; the bundle's own window n fixes its basis."""
+        return [self.e, self.b, self.a]
+
+    def expectation_domain(self):
+        return self.h_member
 
     def h_member(self, pb: PartialBijection) -> bool:
         """Membership in the inverse subsemigroup generated by b.
@@ -235,13 +246,13 @@ class ShiftBundle:
         return not (d == 0 and p == 0 and q == top)
 
     def xx_star(self) -> AlgebraElement:
-        return self.x * self.x.star()
+        x = self.x
+        return x * x.star()
 
     def epsilon_xx_star(self) -> AlgebraElement:
         """epsilon(x x*) = e - b - b*, asserted exactly."""
         got = epsilon_restrict(self.xx_star(), self.h_member)
-        want = AlgebraElement(self.context, [
-            (self.e, 1), (self.b, -1), (self.context.star(self.b), -1)])
+        want = AlgebraElement(self, [(self.e, 1), (self.b, -1), (self.star(self.b), -1)])
         if got != want:
             raise IdentityMismatch("epsilon(x x*) is not e - b - b*",
                                    witness=(got.terms, want.terms))
@@ -303,14 +314,25 @@ class TQContext(SemigroupContext):
         s, t = p
         return (t, s)
 
+    def grading(self) -> Grading:
+        return Grading(self, zn_group(self.n), tq_phi)
+
+    def window(self, window, length):
+        """All normal forms (s, t) of generator-word length sum(s) + sum(t)
+        at most `length`, in deterministic order."""
+        def cones(dim, budget):
+            if dim == 0:
+                return [()]
+            return [(head,) + rest for head in range(budget + 1)
+                    for rest in cones(dim - 1, budget - head)]
+
+        return sorted((s, t) for s in cones(self.n, length)
+                      for t in cones(self.n, length - sum(s)))
+
 
 def tq_phi(p):
     s, t = p
     return tuple(a - b for a, b in zip(s, t))
-
-
-def tq_grading(ctx: TQContext) -> Grading:
-    return Grading(ctx, zn_group(ctx.n), tq_phi)
 
 
 def tq_generators(ctx: TQContext):
@@ -321,21 +343,6 @@ def tq_generators(ctx: TQContext):
         e_i = tuple(1 if j == i else 0 for j in range(ctx.n))
         out.append((e_i, zero))
     return out
-
-
-def tq_window(ctx: TQContext, total: int):
-    """All normal forms (s, t) of generator-word length sum(s) + sum(t) at
-    most `total`, in deterministic order."""
-    def cones(dim, budget):
-        if dim == 0:
-            return [()]
-        return [(head,) + rest for head in range(budget + 1)
-                for rest in cones(dim - 1, budget - head)]
-
-    pairs = [(s, t) for s in cones(ctx.n, total)
-             for t in cones(ctx.n, total - sum(s))]
-    pairs.sort()
-    return pairs
 
 
 def tq_apply(p, point):
@@ -389,6 +396,8 @@ def tq_oracle_check(n: int, N: int, max_len: int, trials: int = 200,
     never clips an intermediate value from above, so the two must agree
     exactly, including where both are undefined: the cone floor is genuine.
     """
+    if max_len < 1:
+        raise InputError("word length bound must be at least 1")
     ctx = TQContext(n)
     gens = tq_generators(ctx)
     rng = random.Random(seed)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import FREE_GROUP, AlgebraElement, Grading, convolve
-from .core import SemigroupContext
+from .core import SemigroupContext, materialize_context
 from .errors import (
     CancellationPresent,
     InputError,
@@ -245,9 +245,21 @@ class GraphContext(SemigroupContext):
 
         return partners
 
+    def grading(self) -> Grading:
+        return Grading(self, FREE_GROUP, grading_phi)
+
+    def window(self, window, length):
+        return enumerate_pairs(self.graph, length)
+
+    def finite_semigroup(self):
+        """Every pair of paths, which is finite exactly when the graph is acyclic."""
+        elems = enumerate_pairs(self.graph, longest_path(self.graph), include_zero=True)
+        S = materialize_context(self, elems, labels=[repr(e) for e in elems])
+        return S, S.group_image
+
 
 def graph_grading(graph: DirectedGraph) -> Grading:
-    return Grading(GraphContext(graph), FREE_GROUP, grading_phi)
+    return GraphContext(graph).grading()
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,15 @@ explicitly and never silently promoted back to rationals.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from importlib import resources
 
-from .algebra import AlgebraElement, Grading
-from .core import (FiniteInverseSemigroup, GroupTable, PartialBijection,
-                   close_generators, materialize_context, max_group_image)
+from .algebra import AlgebraElement
+from .core import FiniteInverseSemigroup, GroupTable, PartialBijection, close_generators
 from .errors import InputError
-from .families import (BRContext, ShiftBundle, TQContext, br_coset_rep,
-                       br_grading, br_window, tq_grading, tq_window)
-from .graphs import (DirectedGraph, GraphContext, ZERO_PAIR, enumerate_pairs,
-                     PathPair, graph_grading, longest_path)
+from .families import BRContext, ShiftBundle, TQContext
+from .graphs import DirectedGraph, GraphContext, ZERO_PAIR, PathPair
 from .rep import Truncation
 from .scalars import scalar_from_json, scalar_to_json
 from .words import word_to_json
@@ -97,46 +93,26 @@ def _pairs_to_map(pairs):
 
 
 class LoadedInput:
-    """A parsed input document plus the live structure it describes.
+    """A parsed input document plus the context it describes.
 
-    One subclass per document kind holds everything that differs by kind:
-    `schema`, `build`, `grading`, `basis`, `decode_element` and
-    `encode_nonzero`, and overrides the defaults below where its kind
-    differs. Build one with `load_input`, which checks the schema first.
+    One subclass per document kind holds the JSON format of its kind:
+    `schema`, `build`, which returns the context, `decode_element`,
+    `encode_nonzero` and, where degrees are not plain JSON, `encode_degree`.
+    Everything else about the family is asked of the context, `structure`.
+    Build one with `load_input`, which checks the schema first.
     """
 
     def __init__(self, doc):
         self.doc = doc
         self.structure = self.build(doc)
 
-    def context(self):
-        return self.structure
-
-    def finite_semigroup(self):
-        """(S, (G, sigma)): the whole semigroup tabulated, with its group image."""
-        raise InputError(f"{self.kind} structures are infinite; "
-                         "use a semigroup or graph document")
-
-    def expectation_domain(self):
-        """Membership predicate of the subsemigroup epsilon restricts to."""
-        return self.grading().kernel_member
-
-    def coset_rep(self, f, grading):
-        """Representative of the one fiber f lives on, for the coset witness."""
-        raise InputError("coset mode needs a 'rep' element for this structure")
-
-    def group_window(self, basis, grading, window):
-        """Group elements the coaction check twists by: the identity, then
-        each other degree on the basis once."""
-        identity = grading.group.identity
-        return [identity, *(d for d in grading.fibers(basis) if d != identity)]
-
     def certificate_basis(self, window, length):
         """(truncation, representation) the spectral certificates use."""
-        return Truncation(self.context(), self.basis(window, length)), self.doc.get("rep", "lambda")
+        ctx = self.structure
+        return Truncation(ctx, ctx.window(window, length)), self.doc.get("rep", "lambda")
 
     def encode_element(self, e):
-        if self.context().is_zero(e):
+        if self.structure.is_zero(e):
             return {"zero": True}
         return self.encode_nonzero(e)
 
@@ -144,7 +120,7 @@ class LoadedInput:
         return d
 
     def decode_algebra(self, doc) -> AlgebraElement:
-        ctx = self.context()
+        ctx = self.structure
         if isinstance(doc, dict) and "terms" in doc:
             if not (isinstance(doc["terms"], list) and all(
                     isinstance(t, list) and len(t) == 2 for t in doc["terms"])):
@@ -191,21 +167,6 @@ class SemigroupInput(LoadedInput):
         return FiniteInverseSemigroup(doc["table"], star_table=doc.get("star"),
                                       zero=doc.get("zero"), labels=doc.get("labels"))
 
-    @functools.cached_property
-    def group_image(self):
-        """(G, sigma), computed once per input."""
-        return max_group_image(self.structure)
-
-    def finite_semigroup(self):
-        return self.structure, self.group_image
-
-    def grading(self) -> Grading:
-        G, sigma = self.group_image
-        return Grading(self.structure, G, sigma.__getitem__)
-
-    def basis(self, window=2, length=2):
-        return list(self.structure.nonzero_elements())
-
     def decode_element(self, doc):
         S = self.structure
         if isinstance(doc, bool) or not isinstance(doc, (int, str)):
@@ -220,7 +181,7 @@ class SemigroupInput(LoadedInput):
         return self.structure.labels[e]
 
     def encode_degree(self, d):
-        return self.group_image[0].labels[d]
+        return self.structure.group_image[0].labels[d]
 
 
 class GraphInput(LoadedInput):
@@ -238,27 +199,11 @@ class GraphInput(LoadedInput):
                          "additionalProperties": False}})
 
     def build(self, doc):
-        return DirectedGraph(doc["vertices"],
-                             [(e["id"], e["src"], e["rng"]) for e in doc["edges"]])
-
-    def context(self):
-        return GraphContext(self.structure)
-
-    def finite_semigroup(self):
-        """Every pair of paths, which is finite exactly when the graph is acyclic."""
-        elems = enumerate_pairs(self.structure, longest_path(self.structure),
-                                include_zero=True)
-        S = materialize_context(self.context(), elems, labels=[repr(e) for e in elems])
-        return S, max_group_image(S)
-
-    def grading(self) -> Grading:
-        return graph_grading(self.structure)
-
-    def basis(self, window=2, length=2):
-        return enumerate_pairs(self.structure, length)
+        return GraphContext(DirectedGraph(
+            doc["vertices"], [(e["id"], e["src"], e["rng"]) for e in doc["edges"]]))
 
     def decode_element(self, doc):
-        g = self.structure
+        g = self.structure.graph
         if doc == {"zero": True}:
             return ZERO_PAIR
         if not isinstance(doc, dict) or "mu" not in doc or "nu" not in doc:
@@ -299,21 +244,6 @@ class BruckReillyInput(LoadedInput):
         g = doc["group"]
         return BRContext(GroupTable(g["table"], labels=g.get("labels")), doc["theta"])
 
-    def coset_rep(self, f, grading):
-        degrees = list(grading.fibers(f.terms))
-        if len(degrees) != 1:
-            raise InputError("coset witness needs a single-fiber element")
-        return br_coset_rep(self.structure, degrees[0])
-
-    def group_window(self, basis, grading, window):
-        return range(-window, window + 1)
-
-    def grading(self) -> Grading:
-        return br_grading(self.structure)
-
-    def basis(self, window=2, length=2):
-        return br_window(self.structure, window)
-
     def decode_element(self, doc):
         if not (isinstance(doc, list) and len(doc) == 3):
             raise InputError(f"element must be [m, a, n], got {doc!r}")
@@ -337,12 +267,6 @@ class ToeplitzInput(LoadedInput):
     def build(self, doc):
         return TQContext(doc["n"])
 
-    def grading(self) -> Grading:
-        return tq_grading(self.structure)
-
-    def basis(self, window=2, length=2):
-        return tq_window(self.structure, length)
-
     def decode_element(self, doc):
         if not (isinstance(doc, list) and len(doc) == 2 and all(
                 isinstance(v, list) and all(map(_is_int, v)) for v in doc)):
@@ -365,20 +289,8 @@ class ShiftBundleInput(LoadedInput):
     def build(self, doc):
         return ShiftBundle(doc["window"])
 
-    def context(self):
-        return self.structure.context
-
-    def expectation_domain(self):
-        return self.structure.h_member
-
     def certificate_basis(self, window, length):
         return Truncation(None, self.structure.action_points), "action"
-
-    def grading(self) -> Grading:
-        return self.structure.grading()
-
-    def basis(self, window=2, length=2):
-        return [self.structure.e, self.structure.b, self.structure.a]
 
     def decode_element(self, doc):
         sb = self.structure

@@ -269,6 +269,18 @@ def test_toeplitz_oracle_requires_seed(capsys):
     assert out == "" and "--seed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["toeplitz-oracle", "--input", "toeplitz_z", "--seed", "1", "--length", "0"],
+    ["grading-check", "--input", "toeplitz_z2", "--length", "-1"],
+    ["coaction-check", "--input", "br_z2_id", "--window", "-1"],
+    ["ql-check", "--input", "toeplitz_z2", "--length", "-1"],
+])
+def test_bounds_that_scan_nothing_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == "" and err.startswith("input error:")
+
+
 def test_toeplitz_oracle_deterministic(capsys):
     argv = ["toeplitz-oracle", "--input", "toeplitz_z", "--window", "6",
             "--length", "3", "--seed", "11"]

@@ -21,7 +21,6 @@ from invsemi.families import (
     quasi_lattice_check,
     tq_apply,
     tq_generators,
-    tq_grading,
     tq_oracle_check,
     tq_phi,
 )
@@ -146,7 +145,7 @@ def test_bundle_parts():
     assert bun.a.map == {k: k + 1 for k in range(-3, 4)}
     assert bun.e.map == {k: k for k in range(0, 4)}
     assert bun.b.map == {k: k + 1 for k in range(0, 4)}
-    ctx = bun.context
+    ctx = bun
     # b* b = e exactly, b b* is the identity one step up
     assert ctx.product(ctx.star(bun.b), bun.b) == bun.e
     assert ctx.product(bun.b, ctx.star(bun.b)) == identity_pb(range(1, 5))
@@ -160,14 +159,14 @@ def test_bundle_epsilon_exact():
     for n in range(1, 7):
         bun = example62(n)
         got = bun.epsilon_xx_star()
-        want = AlgebraElement(bun.context, [
-            (bun.e, 1), (bun.b, -1), (bun.context.star(bun.b), -1)])
+        want = AlgebraElement(bun, [
+            (bun.e, 1), (bun.b, -1), (bun.star(bun.b), -1)])
         assert got == want and got.is_exact()
 
 
 def test_bundle_xx_star_terms():
     bun = example62(4)
-    ctx = bun.context
+    ctx = bun
     xxs = bun.xx_star()
     aa_star = ctx.product(bun.a, ctx.star(bun.a))
     assert aa_star == identity_pb(range(-3, 6))
@@ -217,7 +216,7 @@ def test_h_predicate_rejects_non_shifts():
 def test_bundle_grading_and_fiber_squares():
     bun = example62(3)
     sq = epsilon_star_square(bun.x, bun.grading())
-    ctx = bun.context
+    ctx = bun
     a_star_a = ctx.product(ctx.star(bun.a), bun.a)
     expected = AlgebraElement(ctx, [(bun.e, 1), (a_star_a, 1)])
     assert sq == expected
@@ -271,7 +270,7 @@ def test_tq_inverse_semigroup_axioms():
 def test_tq_grading_multiplicative():
     for n in (1, 2):
         ctx = TQContext(n)
-        report = check_grading(tq_grading(ctx), tq_box_elements(ctx, 1))
+        report = check_grading(ctx.grading(), tq_box_elements(ctx, 1))
         assert report["ok"]
         # the kernel of s - t is the diagonal, which is exactly the idempotents
         assert report["idempotent_pure"]

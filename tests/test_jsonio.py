@@ -19,8 +19,8 @@ def test_fixture_corpus_all_load():
             "toeplitz_z", "toeplitz_z2", "shift_window5"} <= set(names)
     for name in names:
         li = load_fixture(name)
-        ctx = li.context()
-        basis = li.basis(window=1, length=1)
+        ctx = li.structure
+        basis = ctx.window(1, 1)
         assert basis, name
         for e in basis:
             assert ctx.product(e, ctx.star(e)) is not None

@@ -7,6 +7,8 @@ changed signature or a missing report field that the benchmark reads.
 """
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,18 @@ def run_module(monkeypatch):
 def test_setup_runs_every_warmup_check(run_module, workload, tmp_path):
     ops = run_module.setup(workload, 9001, tmp_path)
     assert ops
+
+
+def test_setup_exits_zero_under_two_hash_seeds():
+    """The benchmark's own `--setup-only` step in fresh processes under two
+    fixed string-hash seeds: code that orders output by set or dict order of
+    strings, or by object addresses, can pass under one seed and fail under
+    another."""
+    procs = [subprocess.Popen(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "exact",
+         "--seed", "9001", "--setup-only"],
+        cwd=PERFBENCH.parent, env=dict(os.environ, PYTHONHASHSEED=seed),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) for seed in ("0", "1")]
+    for seed, proc in zip(("0", "1"), procs):
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, f"PYTHONHASHSEED={seed}: {err.decode()}"

@@ -698,10 +698,10 @@ def test_h_block_check_idempotents_of_closure():
 
 def test_h_block_check_on_shift_bundle():
     sb = example62(3)
-    inner = close_generators([sb.b], carrier=sb.context.carrier)
+    inner = close_generators([sb.b], carrier=sb.carrier)
     basis = list(inner.witnesses) + [sb.a, sb.a.inverse(),
                                      sb.a.compose(sb.a.inverse())]
-    B = Truncation(sb.context, [w for w in basis if w.map])
+    B = Truncation(sb, [w for w in basis if w.map])
     report = h_block_check(sb.b, sb.h_member, B)
     assert report["ok"] and report["checked"] > 0
     with pytest.raises(InputError):
