@@ -330,7 +330,8 @@ def criterion_9(seed=0):
     # zero forces a trivial maximum group image
     S5 = close_generators([PartialBijection({0: 1})])
     G5, _ = S5.group_image
-    Sg, (Gg, _) = load_fixture("two_parallel").structure.finite_semigroup()
+    Sg = load_fixture("two_parallel").structure.finite_semigroup()
+    Gg, _ = Sg.group_image
     detail["trivial_max_images"] = {"closure": G5.n, "two_parallel": Gg.n,
                                     "two_parallel_size": Sg.n}
     ok = ok and G5.n == 1 and Gg.n == 1

@@ -133,18 +133,18 @@ def cmd_idempotents(li, args):
 
 
 def cmd_max_group_image(li, args):
-    S, image = li.structure.finite_semigroup()
-    G, sigma = image
+    S = li.structure.finite_semigroup()
+    G, sigma = S.group_image
     return {"order": G.n,
             "group_table": G.table,
             "group_labels": G.labels,
             "sigma": [[S.labels[s], G.labels[sigma[s]]] for s in S.elements()],
-            "e_unitary": is_e_unitary(S, image)}
+            "e_unitary": is_e_unitary(S)}
 
 
 def cmd_e_unitary(li, args):
-    S, image = li.structure.finite_semigroup()
-    bad = e_unitary_witness(S, image)
+    S = li.structure.finite_semigroup()
+    bad = e_unitary_witness(S)
     return {"e_unitary": bad is None,
             "witness": None if bad is None else S.labels[bad]}
 

@@ -254,8 +254,7 @@ class GraphContext(SemigroupContext):
     def finite_semigroup(self):
         """Every pair of paths, which is finite exactly when the graph is acyclic."""
         elems = enumerate_pairs(self.graph, longest_path(self.graph), include_zero=True)
-        S = materialize_context(self, elems, labels=[repr(e) for e in elems])
-        return S, S.group_image
+        return materialize_context(self, elems, labels=[repr(e) for e in elems])
 
 
 def graph_grading(graph: DirectedGraph) -> Grading:

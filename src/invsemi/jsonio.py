@@ -301,7 +301,12 @@ class ShiftBundleInput(LoadedInput):
                                  f"use one of {sorted(named)} or a map")
             return named[doc]
         if isinstance(doc, dict) and "map" in doc:
-            return PartialBijection(_pairs_to_map(doc["map"]))
+            m = _pairs_to_map(doc["map"])
+            for p in (*m, *m.values()):
+                if not (_is_int(p) and p in sb.carrier):
+                    raise InputError(f"shift map point {p!r} is not an integer "
+                                     f"in [{-sb.n}, {sb.n + 1}]")
+            return PartialBijection(m)
         raise InputError(f"cannot decode shift-bundle element {doc!r}")
 
     def encode_nonzero(self, e):

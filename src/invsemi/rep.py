@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from collections.abc import Mapping
 from functools import cache, reduce
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class RepMatrix:
     distinct value, so each entry converts exactly as on its own.
     """
 
-    __slots__ = ("n", "rows", "cols", "vids", "values", "dropped", "_dict")
+    __slots__ = ("n", "rows", "cols", "vids", "values", "dropped", "_entries")
 
     def __init__(self, n, entries=(), dropped=0):
         pairs = list(entries.items() if isinstance(entries, dict) else entries)
@@ -110,18 +110,18 @@ class RepMatrix:
         self.values = [distinct[u] for u in used.tolist()]
         kept = order[start[keep]]
         self.n, self.rows, self.cols = n, rows[kept], cols[kept]
-        self.dropped, self._dict = dropped, None
+        self.dropped, self._entries = dropped, None
 
     @property
     def entries(self):
-        """Read-only {(i, j): value} mapping; its len is the nnz."""
-        return _Entries(self)
-
-    def _as_dict(self):
-        if self._dict is None:
-            self._dict = dict(zip(zip(self.rows.tolist(), self.cols.tolist()),
-                                  map(self.values.__getitem__, self.vids.tolist())))
-        return self._dict
+        """Read-only {(i, j): value} mapping in row-major order, built on
+        first use and cached; the arrays above stay the only storage that
+        products and solves read."""
+        if self._entries is None:
+            self._entries = MappingProxyType(dict(zip(
+                zip(self.rows.tolist(), self.cols.tolist()),
+                map(self.values.__getitem__, self.vids.tolist()))))
+        return self._entries
 
     def _floats(self) -> np.ndarray:
         z = np.array([to_complex(c) for c in self.values], dtype=complex)
@@ -138,16 +138,24 @@ class RepMatrix:
         return self.n == other.n and self.entries == other.entries
 
     def __mul__(self, other):
+        """Entry (i, k) of self meets row k of other, entries in row-major
+        order; each distinct pair of values is multiplied once, and repeated
+        positions sum in that order."""
         if not isinstance(other, RepMatrix):
             return NotImplemented
         if self.n != other.n:
             raise InputError("dimension mismatch")
-        by_row = {}
-        for (k, j), c in other.entries.items():
-            by_row.setdefault(k, []).append((j, c))
-        return RepMatrix(self.n, [((i, j), a * b) for (i, k), a in self.entries.items()
-                                  for j, b in by_row.get(k, ())],
-                         self.dropped + other.dropped)
+        lo = np.searchsorted(other.rows, self.cols)
+        counts = np.searchsorted(other.rows, self.cols, side="right") - lo
+        left = np.repeat(np.arange(len(counts)), counts)
+        right = np.arange(len(left)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        width = len(other.values)
+        pairs, vids = np.unique(self.vids[left] * width + other.vids[right],
+                                return_inverse=True)
+        values = [as_scalar(self.values[p // width] * other.values[p % width])
+                  for p in pairs.tolist()]
+        return RepMatrix._from_coo(self.n, self.rows[left], other.cols[right], vids, values,
+                                   self.dropped + other.dropped)
 
     def adjoint(self):
         return RepMatrix._from_coo(self.n, self.cols, self.rows, self.vids,
@@ -187,22 +195,6 @@ class RepMatrix:
 
     def __repr__(self):
         return f"RepMatrix({self.n}x{self.n}, {len(self.vids)} entries, {self.dropped} dropped)"
-
-
-class _Entries(Mapping):
-    """A RepMatrix's entries: len is the nnz, the dict is built on first use."""
-
-    def __init__(self, m):
-        self._m = m
-
-    def __len__(self):
-        return len(self._m.vids)
-
-    def __getitem__(self, key):
-        return self._m._as_dict()[key]
-
-    def __iter__(self):
-        return iter(self._m._as_dict())
 
 
 def _as_terms(f, context):
@@ -346,19 +338,6 @@ def _extreme_eigvals(M: RepMatrix, picks=(0, -1)):
     return out
 
 
-def _gram(M: RepMatrix) -> RepMatrix:
-    """M* M in floats; its band is at most the lower plus the upper band of M."""
-    by_row = {}
-    for i, j, a in zip(M.rows.tolist(), M.cols.tolist(), M._floats().tolist()):
-        by_row.setdefault(i, []).append((j, a))
-    G = {}
-    for row in by_row.values():
-        for j, a in row:
-            for k, b in row:
-                G[(j, k)] = G.get((j, k), 0j) + a.conjugate() * b
-    return RepMatrix(M.n, G)
-
-
 def min_eig(M: RepMatrix) -> float:
     """Smallest eigenvalue of a Hermitian M: the minimum over the connected
     blocks of its entry graph, each solved by dense or banded LAPACK."""
@@ -375,17 +354,20 @@ def norm_lower_bound(f, B, rep="lambda") -> float:
     true norm and is nondecreasing in the window.
 
     A Hermitian matrix gives max(-lambda_min, lambda_max) from the block
-    solve of min_eig; any other gives sqrt(lambda_max) of its Gram matrix.
+    solve of min_eig; any other gives sqrt(lambda_max) of its Gram matrix
+    F* F, taken on the float copy F of M, whose band is at most the lower
+    plus the upper band of M.
     """
     M = _build(f, B, rep)
     if M.n == 0:
         raise InputError("empty basis")
-    if not M.entries:
+    if not len(M.vids):
         return 0.0
     if M.is_hermitian():
         lo, hi = _extreme_eigvals(M)
         return max(-lo, hi)
-    return math.sqrt(max(_extreme_eigvals(_gram(M), picks=(-1,))[0], 0.0))
+    F = RepMatrix._from_coo(M.n, M.rows, M.cols, M.vids, [to_complex(c) for c in M.values])
+    return math.sqrt(max(_extreme_eigvals(F.adjoint() * F, picks=(-1,))[0], 0.0))
 
 
 def _build(f, B, rep) -> RepMatrix:
@@ -406,6 +388,8 @@ def psd_refute(f, B, rep="lambda", tol=None) -> dict:
         tol = 1e-9 * max(M.n, 1)
     elif not math.isfinite(tol):
         raise InputError(f"tolerance {tol} is not finite")
+    elif tol < 0:
+        raise InputError(f"tolerance {tol} is negative; it must be >= 0")
     value = min_eig(M)
     return {
         "claim": "f is positive",
@@ -542,7 +526,8 @@ def h_block_check(h, H, B: Truncation) -> dict:
         raise InputError("h must belong to the subsemigroup")
     checked = skipped = 0
     violations = []
-    h_basis = [b for b in B.elements if member(b)]
+    inside = np.fromiter(map(member, B.elements), dtype=bool, count=len(B))
+    lift = np.flatnonzero(inside)
     for b, target in zip(B.elements, _left(ctx, h, B.elements)):
         if target is None:
             continue
@@ -553,14 +538,13 @@ def h_block_check(h, H, B: Truncation) -> dict:
         if member(b) != member(target):
             violations.append({"column": repr(b), "target": repr(target),
                                "reason": "left the block"})
-    sub = Truncation(ctx, h_basis)
+    # the H-basis keeps B's order, so both position lists are row-major
+    sub = Truncation(ctx, [B.elements[i] for i in lift.tolist()])
     big = lambda_matrix(AlgebraElement(ctx, [(h, 1)]), B)
     small = lambda_matrix(AlgebraElement(ctx, [(h, 1)]), sub)
-    lift = {i: B.index[e] for i, e in enumerate(sub.elements)}
-    block = {(i, j) for (i, j) in big.entries
-             if B.elements[i] in sub.index and B.elements[j] in sub.index}
-    small_lifted = {(lift[i], lift[j]) for (i, j) in small.entries}
-    compression_ok = block == small_lifted
+    block = inside[big.rows] & inside[big.cols]
+    compression_ok = (np.array_equal(big.rows[block], lift[small.rows])
+                      and np.array_equal(big.cols[block], lift[small.cols]))
     return {"h": repr(h), "checked": checked, "skipped": skipped,
             "violations": violations,
             "compression_ok": compression_ok,

@@ -511,6 +511,39 @@ def test_shift_map_with_short_pair_is_input_error(capsys, tmp_path):
     assert "[x, y] pairs" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, field, element", [
+    ("fibers", "element", {"map": [[0, "x"]]}),
+    ("sos-witness", "element", {"map": [[0, "x"]]}),
+    ("epsilon", "element", {"terms": [[{"map": [[0, "x"]]}, "1"]]}),
+    ("fibers", "element", {"map": [[1.0, 2]]}),
+    ("fibers", "element", {"map": [[True, 2]]}),
+    ("product", "elements", [{"map": [[100, 200]]}, {"map": [[200, 300]]}]),
+    ("product", "elements", [{"map": [[0, 1]]}, {"map": [[6, 7]]}]),
+])
+def test_shift_map_off_the_integer_window_is_input_error(capsys, tmp_path, command,
+                                                         field, element):
+    doc = {"kind": "shift_bundle", "window": 5, field: element}
+    code, out, err = run(capsys, [command], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "is not an integer in [-5, 6]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"table": [[0]], "star": [0, 0]}, "$.star: 2 entries for 1 elements"),
+    # a left-zero band: every element is an inverse of every other
+    ({"table": [[0, 0], [1, 1]], "star": [1, 1]}, "star not involutive at 0"),
+    ({"table": [[0, 1], [1, 0]], "zero": 0}, "declared zero is not absorbing"),
+    # a zero that star moves fails the inverse check: 1 = 1 0 1 would be 0
+    ({"table": [[0, 0], [0, 1]], "star": [1, 1], "zero": 0}, "star table wrong at 0"),
+])
+def test_table_that_fails_validation_is_input_error(capsys, tmp_path, doc, message):
+    code, out, err = run(capsys, ["idempotents"], dict(doc, kind="semigroup"), tmp_path)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cell", ["x", 1.5, True, 1.0])
 def test_non_index_table_cell_is_input_error(capsys, tmp_path, cell):
     doc = {"kind": "semigroup", "table": [[0, 1], [1, cell]]}
@@ -632,6 +665,16 @@ def test_non_finite_tolerance_is_input_error(capsys, tmp_path, tol):
     assert code == 2
     assert out == ""
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-12"])
+def test_negative_tolerance_is_input_error(capsys, tmp_path, tol):
+    # f = (0, 1, 0)/2 is a positive idempotent: a tolerance below 0 would refute it
+    doc = dict(BR_Z2_ID, element={"terms": [[[0, "1", 0], "1/2"]]})
+    code, out, err = run(capsys, ["psd", f"--tol={tol}"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "must be >= 0" in err and "Traceback" not in err
 
 
 def _refuse_constant(name):

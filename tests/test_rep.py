@@ -26,7 +26,7 @@ from invsemi.rep import (RepMatrix, Truncation, _left, action_matrix,
                          rho_matrix)
 import invsemi.rep as rep_module
 from invsemi.scalars import QQi, is_exact, to_complex
-from util import per_column_rep_identity_check, rand_qqi
+from util import dict_gram, dict_product, per_column_rep_identity_check, rand_qqi
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +87,60 @@ def test_repmatrix_algebra_matches_numpy():
         assert np.allclose((A * B).to_dense(), A.to_dense() @ B.to_dense())
         assert np.allclose(A.adjoint().to_dense(), A.to_dense().conj().T)
         assert (A * B).is_exact()
+
+
+def random_scalar(rng, floats):
+    """A nonzero QQi, or with `floats` most often a float complex."""
+    if floats and rng.random() < 0.8:
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) or 1j
+    return rand_qqi(rng)
+
+
+def test_product_matches_dict_loop_oracle():
+    # repeated positions and -c partners make sums that cancel or repeat
+    rng = random.Random(17)
+    for trial in range(80):
+        n, floats = rng.randint(1, 6), trial % 2 == 1
+
+        def random_matrix():
+            pairs = []
+            for _ in range(rng.randint(0, 5 * n)):
+                pos, c = (rng.randrange(n), rng.randrange(n)), random_scalar(rng, floats)
+                pairs += [(pos, c), (pos, -c)] if rng.random() < 0.1 else [(pos, c)]
+            return RepMatrix(n, pairs, dropped=rng.randint(0, 2))
+
+        A, B = random_matrix(), random_matrix()
+        got, want = A * B, dict_product(A, B)
+        assert list(got.entries) == list(want.entries)
+        assert [(is_exact(c), c) for c in got.entries.values()] == \
+            [(is_exact(c), c) for c in want.entries.values()]
+        assert got.dropped == want.dropped == A.dropped + B.dropped
+
+
+def test_norm_lower_bound_gram_matches_dict_loop_oracle():
+    # random non-Hermitian action matrices, exact, float and mixed; every
+    # fifth case has 300-point shifts, so its blocks take the banded solver
+    rng = random.Random(29)
+    gram_cases = 0
+    for trial in range(60):
+        n = 300 if trial % 5 == 0 else rng.randint(2, 30)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            if n == 300:
+                k = rng.randint(-2, 2)
+                pb = PartialBijection({p: p + k for p in range(max(0, -k), n - max(0, k))})
+            else:
+                pts = rng.sample(range(n), rng.randint(1, n))
+                pb = PartialBijection(dict(zip(pts, rng.sample(range(n), len(pts)))))
+            terms.append((pb, random_scalar(rng, trial % 3 > 0)))
+        f, B = AlgebraElement(IXContext(range(n)), terms), Truncation(None, range(n))
+        M = action_matrix(f, B)
+        if not len(M.vids) or M.is_hermitian():
+            continue
+        gram_cases += 1
+        want = math.sqrt(max(rep_module._extreme_eigvals(dict_gram(M), picks=(-1,))[0], 0.0))
+        assert norm_lower_bound(f, B, rep="action") == want
+    assert gram_cases >= 50
 
 
 def test_repmatrix_identity_and_eq():

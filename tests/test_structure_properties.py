@@ -92,7 +92,6 @@ def test_group_image_matches_pairwise_sigma(gens):
     assert [sigma.index(c) for c in range(G.n)] == sorted({sigma.index(c) for c in sigma})
     kernel = {s for s in S.elements() if sigma[s] == G.identity}
     assert is_e_unitary(S) == (kernel == set(E))
-    assert is_e_unitary(S, (G, sigma)) == is_e_unitary(S)
 
 
 # -- homomorphism test ------------------------------------------------------------

@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 
 from invsemi.graphs import enumerate_pairs, graph_grading
-from invsemi.scalars import QQi
+from invsemi.rep import RepMatrix
+from invsemi.scalars import QQi, to_complex
 from invsemi.words import free_reduce, word_inv
 
 
@@ -306,3 +307,28 @@ def product_terms(ctx, f_terms, g_terms, member=lambda p: True) -> list:
     products = [(ctx.product(s, t), a * b) for s, a in f_terms for t, b in g_terms]
     return summed_terms(ctx, [(p, c) for p, c in products
                               if not ctx.is_zero(p) and member(p)])
+
+
+# -- RepMatrix products as loops over entry dicts -----------------------------
+
+def dict_product(A, B):
+    """`RepMatrix.__mul__` as a loop: each entry (i, k) of A, in row-major
+    order, meets each entry (k, j) of B, and the constructor sums repeats."""
+    by_row = {}
+    for (k, j), c in B.entries.items():
+        by_row.setdefault(k, []).append((j, c))
+    return RepMatrix(A.n, [((i, j), a * b) for (i, k), a in A.entries.items()
+                           for j, b in by_row.get(k, ())], A.dropped + B.dropped)
+
+
+def dict_gram(M):
+    """M* M in floats, summed in a dict row by row of M, each sum from 0j."""
+    by_row = {}
+    for (i, j), c in M.entries.items():
+        by_row.setdefault(i, []).append((j, to_complex(c)))
+    G = {}
+    for row in by_row.values():
+        for j, a in row:
+            for k, b in row:
+                G[(j, k)] = G.get((j, k), 0j) + a.conjugate() * b
+    return RepMatrix(M.n, G)
