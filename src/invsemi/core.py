@@ -66,6 +66,23 @@ class SemigroupContext:
         everyone = range(len(elements))
         return lambda a: everyone
 
+    def left_action(self, elements):
+        """For the listed distinct elements, a map `act` from a to an int64
+        array with one code per listed b: the position of a b in the list,
+        -1 when a b is not listed (it leaves the list), and -2 when b is
+        outside the domain of a, that is a*a b != b."""
+        import numpy as np
+
+        index = {e: i for i, e in enumerate(elements)}
+
+        def act(a):
+            dom = self.product(self.star(a), a)
+            return np.fromiter((index.get(self.product(a, b), -1)
+                                if self.product(dom, b) == b else -2 for b in elements),
+                               dtype=np.int64, count=len(elements))
+
+        return act
+
     def grading(self) -> Grading:
         """The family's grading, built anew on each call."""
         raise NotImplementedError
@@ -133,8 +150,12 @@ class PartialBijection:
         vals = set(m.values())
         if len(vals) != len(m):
             raise InputError(f"not injective: {m!r}")
+        try:
+            key = tuple(sorted(m.items()))
+        except TypeError:
+            raise InputError(f"the points of a map must be comparable: {m!r}") from None
         object.__setattr__(self, "map", m)
-        object.__setattr__(self, "_key", tuple(sorted(m.items())))
+        object.__setattr__(self, "_key", key)
 
     def __setattr__(self, name, value):
         raise AttributeError("PartialBijection is immutable")

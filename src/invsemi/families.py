@@ -62,7 +62,14 @@ class BRContext(SemigroupContext):
         bad = homomorphism_witness(group.table, self.theta.__getitem__, group)
         if bad is not None:
             raise InputError(f"theta not multiplicative at ({bad[0]},{bad[1]})")
-        self._powers = [tuple(range(group.n)), self.theta]
+        # theta's powers are eventually periodic: keep them up to the first
+        # repeat, theta^len(_powers) = theta^_cycle
+        powers, first = [tuple(range(group.n))], {}
+        while powers[-1] not in first:
+            first[powers[-1]] = len(powers) - 1
+            powers.append(tuple(self.theta[v] for v in powers[-1]))
+        self._cycle = first[powers.pop()]
+        self._powers = tuple(powers)
 
     def __eq__(self, other):
         return (isinstance(other, BRContext) and self.group.table == other.group.table
@@ -72,9 +79,8 @@ class BRContext(SemigroupContext):
         return hash((tuple(map(tuple, self.group.table)), self.theta))
 
     def theta_pow(self, k, a):
-        while len(self._powers) <= k:
-            prev = self._powers[-1]
-            self._powers.append(tuple(self.theta[v] for v in prev))
+        if k >= len(self._powers):
+            k = self._cycle + (k - self._cycle) % (len(self._powers) - self._cycle)
         return self._powers[k][a]
 
     def element(self, m, a, n):
@@ -92,6 +98,51 @@ class BRContext(SemigroupContext):
     def star(self, p):
         m, a, n = p
         return (n, self.group.inv(a), m)
+
+    def left_action(self, elements):
+        """The left action in numpy: b = (i, c, j) lies in dom(m, x, n)
+        exactly when i >= n, and then (m, x, n) b = (m - n + i,
+        theta^(i-n)(x) c, j), looked up among the sorted keys of the list.
+
+        A term whose indices lie past the list is answered in Python, so no
+        index reaches numpy that the list does not bound; a list whose keys
+        would not fit in int64 takes the generic action.
+        """
+        import numpy as np
+
+        g = self.group.n
+        try:
+            I, C, J = np.array(elements, dtype=np.int64).reshape(-1, 3).T
+        except OverflowError:
+            return super().left_action(elements)
+        width = 1 + int(max(I.max(initial=0), J.max(initial=0)))
+        if 4 * width * width * g >= 2 ** 63:
+            return super().left_action(elements)
+        keys = (I * width + J) * g + C
+        order = np.argsort(keys)
+        keys = keys[order]
+        top = int(I.max(initial=-1))
+        powers = np.array(self._powers, dtype=np.int64)
+        cycle, period = self._cycle, len(self._powers) - self._cycle
+        mul = np.array(self.group.table, dtype=np.int64)
+        outside = np.full(len(elements), -2, dtype=np.int64)
+
+        def act(a):
+            m, x, n = a
+            if n > top:
+                return outside.copy()
+            if m - n > top:
+                return np.where(I >= n, -1, -2)
+            domain = np.flatnonzero(I >= n)
+            k = I[domain] - n
+            k = np.where(k < len(powers), k, cycle + (k - cycle) % period)
+            image = ((I[domain] + (m - n)) * width + J[domain]) * g + mul[powers[k, x], C[domain]]
+            at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+            codes = outside.copy()
+            codes[domain] = np.where(keys[at] == image, order[at], -1)
+            return codes
+
+        return act
 
     def grading(self) -> Grading:
         return Grading(self, INTEGERS, br_phi)

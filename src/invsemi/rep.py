@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from functools import cache, reduce
-from itertools import chain
+from functools import cache, cached_property, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -56,6 +55,21 @@ class Truncation:
 
     def __contains__(self, e):
         return e in self.index
+
+    @cached_property
+    def left(self):
+        """The context's left action on this basis: a -> one code per basis
+        element (see SemigroupContext.left_action)."""
+        return self.context.left_action(self.elements)
+
+    @cached_property
+    def right(self):
+        """The right action in the same codes, through the involution: b a =
+        (a* b*)*, and b a a* = b exactly when a a* b* = b*, so it is the left
+        action of a* on the starred basis."""
+        star = self.context.star
+        act = self.context.left_action([star(b) for b in self.elements])
+        return lambda a: act(star(a))
 
 
 class RepMatrix:
@@ -206,44 +220,28 @@ def _as_terms(f, context):
     return {f: QQi(1)}
 
 
-def _left(ctx, a, elements):
-    """The left regular action of a on each listed b: a b when a*a b = b,
-    else None (b is outside the domain of a)."""
-    dom = ctx.product(ctx.star(a), a)
-    return [ctx.product(a, b) if ctx.product(dom, b) == b else None for b in elements]
-
-
-def _right(ctx, a, elements):
-    """The right regular action of a on each listed b: b a when b a a* = b,
-    else None (b is outside the range of a)."""
-    ran = ctx.product(a, ctx.star(a))
-    return [ctx.product(b, a) if ctx.product(b, ran) == b else None for b in elements]
-
-
-def _term_matrix(n, index, terms, columns) -> RepMatrix:
-    """The matrix of sum_s c_s T_s: columns(s) lists the image of each basis
-    column under T_s, None where T_s kills it; an image outside the index
-    leaves the basis and is counted as dropped."""
-    found = chain.from_iterable((index.get(x, -1), j, t) for t, s in enumerate(terms)
-                                for j, x in enumerate(columns(s)) if x is not None)
-    rows, cols, tids = np.fromiter(found, dtype=np.int64).reshape(-1, 3).T
-    inside = rows >= 0
-    return RepMatrix._from_coo(n, rows[inside], cols[inside], tids[inside],
-                               [as_scalar(c) for c in terms.values()], int((~inside).sum()))
+def _term_matrix(n, terms, act) -> RepMatrix:
+    """The matrix of sum_s c_s T_s, where act(s) gives one code per basis
+    column: the row of its image under T_s, -1 when the image leaves the
+    basis (counted as dropped), -2 when T_s kills it. Entries come in
+    (term, ascending column) order, the order repeated positions sum in."""
+    codes = np.array([act(s) for s in terms], dtype=np.int64).reshape(-1)
+    cols = np.tile(np.arange(n, dtype=np.int64), len(terms))
+    tids = np.repeat(np.arange(len(terms), dtype=np.int64), n)
+    inside = codes >= 0
+    return RepMatrix._from_coo(n, codes[inside], cols[inside], tids[inside],
+                               [as_scalar(c) for c in terms.values()],
+                               int(np.count_nonzero(codes == -1)))
 
 
 def lambda_matrix(f, B: Truncation) -> RepMatrix:
     """Left regular matrix: entry (ab, b) += f(a) when a*a b = b and ab in B."""
-    ctx = B.context
-    return _term_matrix(len(B), B.index, _as_terms(f, ctx),
-                        lambda a: _left(ctx, a, B.elements))
+    return _term_matrix(len(B), _as_terms(f, B.context), B.left)
 
 
 def rho_matrix(a, B: Truncation) -> RepMatrix:
     """Right regular matrix: entry (ba, b) += coeff when b a a* = b and ba in B."""
-    ctx = B.context
-    return _term_matrix(len(B), B.index, _as_terms(a, ctx),
-                        lambda s: _right(ctx, s, B.elements))
+    return _term_matrix(len(B), _as_terms(a, B.context), B.right)
 
 
 def action_matrix(f, window) -> RepMatrix:
@@ -253,13 +251,16 @@ def action_matrix(f, window) -> RepMatrix:
     an InputError.
     """
     B = window if isinstance(window, Truncation) else Truncation(None, window)
+    index = B.index
 
-    def columns(s):
+    def act(s):
         if not isinstance(s, PartialBijection):
             raise InputError("action matrices need partial bijection support")
-        return map(s.map.get, B.elements)
+        return np.fromiter((-2 if y is None else index.get(y, -1)
+                            for y in map(s.map.get, B.elements)),
+                           dtype=np.int64, count=len(B))
 
-    return _term_matrix(len(B), B.index, _as_terms(f, None), columns)
+    return _term_matrix(len(B), _as_terms(f, None), act)
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +412,12 @@ def rep_identity_check(B: Truncation, elements) -> dict:
     On a multiplicatively closed basis every check is exact. On a window,
     columns whose intermediate products escape the basis are counted as
     skipped instead of verified; everything else is still exact. Each
-    element's column lists are computed once per call.
+    element's codes are computed once per call; two codes that are both
+    positions, or both -2, agree exactly when the elements they stand for do.
     """
-    ctx, index = B.context, B.index
-    left = cache(lambda a: _left(ctx, a, B.elements))
-    right = cache(lambda a: _right(ctx, a, B.elements))
+    ctx = B.context
+    left = cache(lambda a: B.left(a).tolist())
+    right = cache(lambda a: B.right(a).tolist())
     elems = [e for e in elements if not ctx.is_zero(e)]
     checked = skipped = 0
     violations = []
@@ -426,12 +428,12 @@ def rep_identity_check(B: Truncation, elements) -> dict:
         st = ctx.product(s, t)
         ls, lst = left(s), None if ctx.is_zero(st) else left(st)
         for j, mid in enumerate(left(t)):
-            if mid is not None and mid not in index:
+            if mid == -1:
                 skipped += 1
                 continue
-            lhs = None if mid is None else ls[index[mid]]
-            rhs = None if lst is None else lst[j]
-            if lhs is not None and lhs not in index and rhs is not None and rhs not in index:
+            lhs = -2 if mid == -2 else ls[mid]
+            rhs = -2 if lst is None else lst[j]
+            if lhs == rhs == -1:
                 skipped += 1
                 continue
             checked += 1
@@ -441,7 +443,7 @@ def rep_identity_check(B: Truncation, elements) -> dict:
 
     # Lambda(s*) = Lambda(s)^dagger: exact on any window
     def moves(a):
-        return {j: index[x] for j, x in enumerate(left(a)) if x is not None and x in index}
+        return {j: i for j, i in enumerate(left(a)) if i >= 0}
 
     for s in elems:
         checked += 1
@@ -452,15 +454,12 @@ def rep_identity_check(B: Truncation, elements) -> dict:
     for s, t in pairs:
         ls, rt = left(s), right(t)
         for j, (right_first, left_first) in enumerate(zip(rt, ls)):
-            if right_first is not None and right_first not in index:
+            if right_first == -1 or left_first == -1:
                 skipped += 1
                 continue
-            p1 = None if right_first is None else ls[index[right_first]]
-            if left_first is not None and left_first not in index:
-                skipped += 1
-                continue
-            p2 = None if left_first is None else rt[index[left_first]]
-            if (p1 is not None and p1 not in index) or (p2 is not None and p2 not in index):
+            p1 = -2 if right_first == -2 else ls[right_first]
+            p2 = -2 if left_first == -2 else rt[left_first]
+            if p1 == -1 or p2 == -1:
                 skipped += 1
                 continue
             checked += 1
@@ -490,14 +489,14 @@ def coaction_unitary_check(grading: Grading, B: Truncation, group_window, T) -> 
         if ctx.is_zero(t):
             continue
         dt = grading.degree(t)
-        for s, step in zip(B.elements, _left(ctx, t, B.elements)):
-            if step is None:
+        for s, code in zip(B.elements, B.left(t).tolist()):
+            if code == -2:
                 zero_cases += len(group_window)
                 continue
-            if step not in B:
+            if code == -1:
                 skipped += len(group_window)
                 continue
-            ds_inv, dstep = G.inv(grading.degree(s)), grading.degree(step)
+            ds_inv, dstep = G.inv(grading.degree(s)), grading.degree(B.elements[code])
             checked += len(group_window)
             if G.mul(dstep, ds_inv) == dt:
                 continue
@@ -524,28 +523,24 @@ def h_block_check(h, H, B: Truncation) -> dict:
     ctx = B.context
     if not member(h):
         raise InputError("h must belong to the subsemigroup")
-    checked = skipped = 0
-    violations = []
     inside = np.fromiter(map(member, B.elements), dtype=bool, count=len(B))
     lift = np.flatnonzero(inside)
-    for b, target in zip(B.elements, _left(ctx, h, B.elements)):
-        if target is None:
-            continue
-        if target not in B:
-            skipped += 1
-            continue
-        checked += 1
-        if member(b) != member(target):
-            violations.append({"column": repr(b), "target": repr(target),
-                               "reason": "left the block"})
+    codes = B.left(h)
+    moved = np.flatnonzero(codes >= 0)
+    violations = [{"column": repr(B.elements[j]), "target": repr(B.elements[i]),
+                   "reason": "left the block"}
+                  for j, i in zip(moved.tolist(), codes[moved].tolist())
+                  if inside[j] != inside[i]]
     # the H-basis keeps B's order, so both position lists are row-major
     sub = Truncation(ctx, [B.elements[i] for i in lift.tolist()])
-    big = lambda_matrix(AlgebraElement(ctx, [(h, 1)]), B)
-    small = lambda_matrix(AlgebraElement(ctx, [(h, 1)]), sub)
+    one = {h: QQi(1)}
+    big = _term_matrix(len(B), one, lambda _: codes)
+    small = _term_matrix(len(sub), one, sub.left)
     block = inside[big.rows] & inside[big.cols]
     compression_ok = (np.array_equal(big.rows[block], lift[small.rows])
                       and np.array_equal(big.cols[block], lift[small.cols]))
-    return {"h": repr(h), "checked": checked, "skipped": skipped,
+    return {"h": repr(h), "checked": len(moved),
+            "skipped": int(np.count_nonzero(codes == -1)),
             "violations": violations,
             "compression_ok": compression_ok,
             "ok": not violations and compression_ok}

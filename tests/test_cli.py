@@ -57,6 +57,15 @@ def test_product_bruck_reilly(capsys, tmp_path):
     assert report["product"] == [3, "1", 5]
 
 
+def test_psd_on_a_term_far_past_the_window(capsys, tmp_path):
+    # theta's powers repeat, so index 2^70 costs no more than index 2
+    doc = dict(BR_Z2_ID, element={"terms": [[[2 ** 70, "g", 0], "1"]]})
+    code, out, _ = run(capsys, ["psd", "--window", "3"], doc, tmp_path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["basis_size"] == 32 and report["refuted"] is False
+
+
 def test_order_clifford(capsys, tmp_path):
     doc = {"kind": "semigroup",
            "table": [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 2, 3], [1, 0, 3, 2]],
@@ -542,6 +551,16 @@ def test_table_that_fails_validation_is_input_error(capsys, tmp_path, doc, messa
     assert code == 2
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["idempotents", "fibers", "product"])
+def test_generators_with_mixed_point_types_are_input_error(capsys, tmp_path, command):
+    doc = {"kind": "semigroup", "generators": [[["a", 1], [0, 2]]],
+           "element": 0, "elements": [0, 0]}
+    code, out, err = run(capsys, [command], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "must be comparable" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("cell", ["x", 1.5, True, 1.0])

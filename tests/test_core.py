@@ -23,7 +23,6 @@ from invsemi.core import (
     upward_closure,
 )
 from invsemi.errors import CapExceeded, InputError, NotUpwardClosed
-from invsemi.rep import _left
 
 from util import raw_closure
 
@@ -199,7 +198,7 @@ def test_domain_members_five_element():
     t = w[((1, 2),)]
     expect = {w[((2, 1),)], w[((1, 1),)]}
     elems = S.nonzero_elements()
-    assert {b for b, x in zip(elems, _left(S, t, elems)) if x is not None} == expect
+    assert {b for b, x in zip(elems, S.left_action(elems)(t)) if x != -2} == expect
 
 
 # -- maximum group image ---------------------------------------------------------

@@ -66,6 +66,35 @@ def test_br_product_frozen():
     assert ctx.product((0, 1, 1), (2, 1, 0)) == (1, 0, 0)
 
 
+def _theta_naive(ctx, k, a):
+    for _ in range(k):
+        a = ctx.theta[a]
+    return a
+
+
+def test_br_theta_powers_reduce_into_their_cycle():
+    # x -> 2x on Z/12 sends 1 to 2, 4, 8, 4, 8, ...: two steps, then period 2
+    z12 = GroupTable([[(i + j) % 12 for j in range(12)] for i in range(12)])
+    ctx = BRContext(z12, [2 * x % 12 for x in range(12)])
+    for a in range(12):
+        assert [ctx.theta_pow(k, a) for k in range(40)] == [
+            _theta_naive(ctx, k, a) for k in range(40)]
+        for k in (2 ** 70, 2 ** 70 + 1):
+            assert ctx.theta_pow(k, a) == _theta_naive(ctx, 2 + k % 2, a)
+
+
+def test_br_products_and_stars_at_index_two_to_the_seventy():
+    K = 2 ** 70
+    for ctx in br_z2_contexts():
+        # both Z/2 thetas are constant from the first power on
+        far = _theta_naive(ctx, 2, 1)
+        assert ctx.product((0, 0, K), (0, 1, 0)) == (0, far, K)
+        assert ctx.product((3, 1, K), (1, 1, 0)) == (3, ctx.group.mul(1, far), K - 1)
+        assert ctx.product((K, 1, 0), (0, 1, K)) == (K, 0, K)
+        assert ctx.product((0, 1, K), (K, 1, 0)) == (0, 0, 0)
+        assert ctx.star((K, 1, 3)) == (3, 1, K)
+
+
 def test_br_product_matches_action_model():
     K = 8
     for ctx in br_z2_contexts():

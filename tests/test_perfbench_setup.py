@@ -1,9 +1,13 @@
-"""The benchmark's set-up step stays runnable against the library.
+"""The benchmark's set-up step and its timed ops stay runnable against the
+library.
 
 `perfbench/run.py` builds every op of a workload and runs one warm-up op of
 each kind with its oracle check before it times anything; an exception there
 makes the run exit 1. Running that step here catches a renamed function, a
-changed signature or a missing report field that the benchmark reads.
+changed signature or a missing report field that the benchmark reads. The
+warm-ups run at small sizes only, so one full round of the timed ops runs
+too, with every oracle check: a defect that shows only at a timed size (a
+Bruck-Reilly psd at level 25, a min_eig at 2060 points) fails here.
 """
 
 import importlib
@@ -29,9 +33,13 @@ def run_module(monkeypatch):
 
 
 @pytest.mark.parametrize("workload", ["spectral", "exact"])
-def test_setup_runs_every_warmup_check(run_module, workload, tmp_path):
+def test_setup_and_one_timed_round_pass_every_check(run_module, workload, tmp_path):
     ops = run_module.setup(workload, 9001, tmp_path)
     assert ops
+    stats = run_module.Stats()
+    stats.run_round(ops)
+    assert stats.attempted == len(ops)
+    assert not stats.failures and stats.correct
 
 
 def test_setup_exits_zero_under_two_hash_seeds():

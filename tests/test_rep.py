@@ -19,7 +19,7 @@ from invsemi.errors import InputError, NotHermitian
 from invsemi.families import br_grading, br_window, br_z2_contexts, example62
 from invsemi.graphs import (DirectedGraph, GraphContext, PathPair, enumerate_pairs,
                             graph_grading)
-from invsemi.rep import (RepMatrix, Truncation, _left, action_matrix,
+from invsemi.rep import (RepMatrix, Truncation, action_matrix,
                          coaction_unitary_check, epsilon_faithfulness_check,
                          h_block_check, lambda_matrix, min_eig,
                          norm_lower_bound, psd_refute, rep_identity_check,
@@ -640,16 +640,18 @@ def closures(draw):
 
 
 class OneLie(SemigroupContext):
-    """S with the product x y replaced by w. Neither x y nor w is zero, w is
-    neither x nor y, and x is not y*, so no domain or range projection is
-    miscomputed and no zero appears where S has none."""
+    """S with the product x y replaced by w, and y* x* by w*. Neither x y nor
+    w is zero, w is neither x nor y, and x is not y*, so no domain or range
+    projection is miscomputed and no zero appears where S has none. The lie
+    keeps (a b)* = b* a*, which R's codes read: b a = (a* b*)*."""
 
     def __init__(self, S, x, y, w):
-        self.S, self.lie, self.zero = S, (x, y, w), S.zero
+        self.S, self.zero = S, S.zero
+        self.lies = {(x, y): w, (S.star(y), S.star(x)): S.star(w)}
 
     def product(self, a, b):
-        x, y, w = self.lie
-        return w if (a, b) == (x, y) else self.S.product(a, b)
+        lie = self.lies.get((a, b))
+        return self.S.product(a, b) if lie is None else lie
 
     def star(self, a):
         return self.S.star(a)
@@ -688,7 +690,7 @@ def test_left_domain_is_natural_order_down_set(S):
     elems = S.nonzero_elements()
     for a in S.elements():
         aa = S.product(S.star(a), a)
-        hits = {b for b, x in zip(elems, _left(S, a, elems)) if x is not None}
+        hits = {b for b, code in zip(elems, S.left_action(elems)(a)) if code != -2}
         assert hits == {b for b in elems if natural_leq(S.product(b, S.star(b)), aa, S)}
 
 

@@ -212,6 +212,26 @@ def _regular_step(ctx, a, b):
     return ctx.product(a, b)
 
 
+def left_oracle(ctx, a, elements):
+    """The left regular action of a on each listed b: a b when a*a b = b,
+    else None (b is outside the domain of a)."""
+    return [_regular_step(ctx, a, b) for b in elements]
+
+
+def right_oracle(ctx, a, elements):
+    """The right regular action of a on each listed b: b a when b a a* = b,
+    else None (b is outside the range of a)."""
+    ran = ctx.product(a, ctx.star(a))
+    return [ctx.product(b, a) if ctx.product(b, ran) == b else None for b in elements]
+
+
+def oracle_codes(images, elements):
+    """Action codes of a list of images: the position of each image in the
+    list, -1 for an image not listed, -2 for None."""
+    index = {e: i for i, e in enumerate(elements)}
+    return [-2 if x is None else index.get(x, -1) for x in images]
+
+
 def per_column_rep_identity_check(B, elements, pairs=None) -> dict:
     """`rep.rep_identity_check` recomputing every action step per column."""
     ctx = B.context
