@@ -33,7 +33,7 @@ from .core import (
     omega_coset_partition,
 )
 from .errors import InputError, InvsemiError, MathAssertionError
-from .families import BRContext, ShiftBundle, TQContext, example62
+from .families import BRContext, Shift, ShiftBundle, TQContext, example62
 from .graphs import (
     DirectedGraph,
     GraphContext,
@@ -70,6 +70,7 @@ __all__ = [
     "PartialBijection",
     "PathPair",
     "QQi",
+    "Shift",
     "ShiftBundle",
     "TQContext",
     "Truncation",

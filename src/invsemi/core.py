@@ -3,7 +3,9 @@
 Three kinds of carrier live here:
 
 * PartialBijection and IXContext, the symmetric inverse monoid I(X) over a
-  finite carrier set, with products computed on demand;
+  finite carrier set, with products computed on demand; semigroup documents
+  given by generating maps are closed here (the shift bundle keeps its own
+  interval form, in families);
 * FiniteInverseSemigroup, a fully tabulated semigroup (product table, star
   table, optional zero) that every structure operation scans;
 * GroupTable, a tabulated semigroup with one idempotent, that is a finite
@@ -195,10 +197,6 @@ class PartialBijection:
 
 
 EMPTY_PB = PartialBijection({})
-
-
-def identity_pb(points) -> PartialBijection:
-    return PartialBijection({p: p for p in points})
 
 
 def pb_label(pb: PartialBijection) -> str:

@@ -4,10 +4,11 @@ Three constructions exercise the graded machinery away from graphs:
 
 * Bruck-Reilly extensions BR(G, theta): triples (m, a, n) over a finite
   group G twisted by an endomorphism theta, graded over Z by m - n.
-* A truncated-shift bundle on the integer window [-n, n+1]: the full shift
-  a, the idempotent e on [0, n], their product b = a e, and the element
-  x = e - a whose restricted expectation is the three-term tridiagonal
-  element e - b - b*.
+* A truncated-shift bundle on the integer window [-n, n+1]: constant shifts
+  on intervals, each stored as three integers (d, p, q), so a product costs
+  O(1) at any window. It holds the full shift a, the idempotent e on
+  [0, n], their product b = a e, and the element x = e - a whose restricted
+  expectation is the three-term tridiagonal element e - b - b*.
 * Toeplitz semigroups of the quasi-lattice (Z^n, N^n): normal forms (s, t)
   of positive cone pairs, graded over Z^n by s - t.
 
@@ -30,11 +31,8 @@ from .algebra import (
 )
 from .core import (
     GroupTable,
-    IXContext,
-    PartialBijection,
     SemigroupContext,
     homomorphism_witness,
-    identity_pb,
     natural_leq,
 )
 from .errors import IdentityMismatch, InputError
@@ -225,25 +223,67 @@ def br_z2_contexts():
 # the truncated shift bundle
 # ---------------------------------------------------------------------------
 
-class ShiftBundle(IXContext):
-    """Partial shifts on the integer window [-n, n+1].
+class Shift(tuple):
+    """The partial map x -> x + d on the integers of [p, q], stored as the
+    plain tuple (d, p, q); the map is empty when p > q, and the bundle keeps
+    one canonical empty shift, its zero. It prints as the partial bijection
+    it stands for."""
+
+    __slots__ = ()
+
+    def __new__(cls, d, p, q):
+        return tuple.__new__(cls, (d, p, q))
+
+    def __repr__(self):
+        d, p, q = self
+        return f"PartialBijection({ {k: k + d for k in range(p, q + 1)}!r})"
+
+
+EMPTY_SHIFT = Shift(0, 1, 0)
+
+# the largest window whose action points are listed, one Python int each
+MAX_ACTION_WINDOW = 10 ** 7
+
+
+class ShiftBundle(SemigroupContext):
+    """Constant shifts on intervals of the integer window [-n, n+1].
 
     a is the full forward shift, e the identity on [0, n], b = a e the
-    shifted corner, and x = e - a. The subsemigroup generated by b consists
-    of the constant shifts whose domain and range both sit inside [0, n+1],
-    except the full identity on [0, n+1] itself, which no nonempty word in
-    b and b* reaches. Restricting x x* to that subsemigroup drops the one
-    term with negative domain and leaves e - b - b* exactly.
+    shifted corner, and x = e - a. Every product and star is a constant
+    shift on an interval, computed in O(1) on (d, p, q). The subsemigroup
+    generated by b consists of the shifts whose domain and range both sit
+    inside [0, n+1], except the full identity on [0, n+1] itself, which no
+    nonempty word in b and b* reaches. Restricting x x* to that
+    subsemigroup drops the one term with negative domain and leaves
+    e - b - b* exactly.
     """
+
+    zero = EMPTY_SHIFT
 
     def __init__(self, n: int):
         if n < 1:
             raise InputError("window size must be at least 1")
-        super().__init__(range(-n, n + 2))
         self.n = n
-        self.a = PartialBijection({k: k + 1 for k in range(-n, n + 1)})
-        self.e = identity_pb(range(0, n + 1))
-        self.b = self.product(self.a, self.e)
+        self.a = Shift(1, -n, n)
+        self.e = Shift(0, 0, n)
+        self.b = Shift(1, 0, n)
+
+    def __eq__(self, other):
+        return isinstance(other, ShiftBundle) and self.n == other.n
+
+    def __hash__(self):
+        return hash(("shift", self.n))
+
+    def product(self, a, b):
+        """a after b: x + d_b must land in [p_a, q_a]."""
+        da, pa, qa = a
+        db, pb, qb = b
+        p, q = max(pb, pa - db), min(qb, qa - db)
+        return Shift(da + db, p, q) if p <= q else EMPTY_SHIFT
+
+    def star(self, a):
+        d, p, q = a
+        return Shift(-d, p + d, q + d)
 
     @property
     def x(self) -> AlgebraElement:
@@ -252,16 +292,17 @@ class ShiftBundle(IXContext):
 
     @property
     def action_points(self):
+        """The points 0..n the restricted square acts on; a window past
+        MAX_ACTION_WINDOW is refused before any is listed."""
+        if self.n > MAX_ACTION_WINDOW:
+            raise InputError(f"window {self.n} is past the action cap {MAX_ACTION_WINDOW}")
         return list(range(0, self.n + 1))
 
-    def shift_degree(self, pb: PartialBijection) -> int:
+    def shift_degree(self, s: Shift) -> int:
         """The constant displacement of a shift; identities have degree 0."""
-        if not pb.map:
+        if s == EMPTY_SHIFT:
             raise InputError("the empty map carries no degree")
-        degs = {v - k for k, v in pb.map.items()}
-        if len(degs) != 1:
-            raise InputError(f"not a constant shift: {pb!r}")
-        return degs.pop()
+        return s[0]
 
     def grading(self) -> Grading:
         return Grading(self, INTEGERS, self.shift_degree)
@@ -273,28 +314,16 @@ class ShiftBundle(IXContext):
     def expectation_domain(self):
         return self.h_member
 
-    def h_member(self, pb: PartialBijection) -> bool:
-        """Membership in the inverse subsemigroup generated by b.
-
-        Nonempty members are the constant shifts by d on a contiguous
-        interval [p, q] with [p, q] and [p+d, q+d] inside [0, n+1]; a word
-        of positive length always loses one endpoint, which excludes the
-        full identity on [0, n+1].
-        """
-        if not pb.map:
+    def h_member(self, s: Shift) -> bool:
+        """Membership in the inverse subsemigroup generated by b: the empty
+        shift, and each shift by d on [p, q] with [p, q] and [p+d, q+d]
+        inside [0, n+1]; a word of positive length always loses one
+        endpoint, which excludes the full identity on [0, n+1]."""
+        if s == EMPTY_SHIFT:
             return True
-        keys = sorted(pb.map)
-        p, q = keys[0], keys[-1]
-        if q - p + 1 != len(keys):
-            return False
-        degs = {pb.map[k] - k for k in keys}
-        if len(degs) != 1:
-            return False
-        d = degs.pop()
+        d, p, q = s
         top = self.n + 1
-        if p < max(0, -d) or q > top - max(0, d):
-            return False
-        return not (d == 0 and p == 0 and q == top)
+        return max(0, -d) <= p and q <= top - max(0, d) and not (d == 0 and p == 0 and q == top)
 
     def xx_star(self) -> AlgebraElement:
         x = self.x

@@ -15,7 +15,7 @@ from importlib import resources
 from .algebra import AlgebraElement
 from .core import FiniteInverseSemigroup, GroupTable, PartialBijection, close_generators
 from .errors import InputError
-from .families import BRContext, ShiftBundle, TQContext
+from .families import BRContext, Shift, ShiftBundle, TQContext
 from .graphs import DirectedGraph, GraphContext, ZERO_PAIR, PathPair
 from .rep import Truncation
 from .scalars import scalar_from_json, scalar_to_json
@@ -303,14 +303,23 @@ class ShiftBundleInput(LoadedInput):
         if isinstance(doc, dict) and "map" in doc:
             m = _pairs_to_map(doc["map"])
             for p in (*m, *m.values()):
-                if not (_is_int(p) and p in sb.carrier):
+                if not (_is_int(p) and -sb.n <= p <= sb.n + 1):
                     raise InputError(f"shift map point {p!r} is not an integer "
                                      f"in [{-sb.n}, {sb.n + 1}]")
-            return PartialBijection(m)
+            pb = PartialBijection(m)    # rejects a map that is not injective
+            if not m:
+                return sb.zero
+            p, q = min(m), max(m)
+            d = m[p] - p
+            if q - p + 1 != len(m) or any(y - x != d for x, y in m.items()):
+                raise InputError(f"not a constant shift on an interval, so not in "
+                                 f"the bundle: {pb!r}")
+            return Shift(d, p, q)
         raise InputError(f"cannot decode shift-bundle element {doc!r}")
 
     def encode_nonzero(self, e):
-        return {"map": [[p, q] for p, q in sorted(e.map.items())]}
+        d, p, q = e
+        return {"map": [[k, k + d] for k in range(p, q + 1)]}
 
 
 KINDS = {cls.kind: cls for cls in (SemigroupInput, GraphInput, BruckReillyInput,

@@ -28,8 +28,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .algebra import AlgebraElement, Grading, _membership, convolve, epsilon_restrict, involution
-from .core import PartialBijection
 from .errors import ContextMismatch, InputError, NotHermitian
+from .families import Shift
 from .scalars import QQi, as_scalar, conj, is_exact, rand_qqi, to_complex
 
 # a block this small, or with a band wider than 1/_BAND_RATIO of its size,
@@ -43,12 +43,15 @@ class Truncation:
 
     def __init__(self, context, elements):
         self.context = context
-        self.elements = [e for e in elements if context is None or not context.is_zero(e)]
-        self.index = {}
-        for i, e in enumerate(self.elements):
-            if e in self.index:
-                raise InputError(f"duplicate basis element {e!r}")
-            self.index[e] = i
+        self.elements = (list(elements) if context is None
+                         else [e for e in elements if not context.is_zero(e)])
+        self.index = dict(zip(self.elements, range(len(self.elements))))
+        if len(self.index) != len(self.elements):
+            seen = set()
+            for e in self.elements:
+                if e in seen:
+                    raise InputError(f"duplicate basis element {e!r}")
+                seen.add(e)
 
     def __len__(self):
         return len(self.elements)
@@ -245,20 +248,33 @@ def rho_matrix(a, B: Truncation) -> RepMatrix:
 
 
 def action_matrix(f, window) -> RepMatrix:
-    """Point-mass action of partial bijections: entry (s(p), p) += f(s).
+    """Point-mass action of interval shifts: entry (s(x), x) += f(s).
 
-    A window that is not a Truncation becomes one, so a repeated point is
-    an InputError.
+    The window is a list of distinct integer points in any order, gaps
+    allowed; a window that is not a Truncation becomes one, so a repeated
+    point is an InputError. Each image is looked up among the sorted points.
     """
     B = window if isinstance(window, Truncation) else Truncation(None, window)
-    index = B.index
+    points = np.asarray(B.elements) if len(B) else np.zeros(0, dtype=np.int64)
+    if points.dtype.kind != "i":
+        raise InputError("an action window must list integer points")
+    order = np.argsort(points, kind="stable")
+    keys = points[order]
+    span = int(keys[-1] - keys[0]) if len(keys) else 0
 
     def act(s):
-        if not isinstance(s, PartialBijection):
-            raise InputError("action matrices need partial bijection support")
-        return np.fromiter((-2 if y is None else index.get(y, -1)
-                            for y in map(s.map.get, B.elements)),
-                           dtype=np.int64, count=len(B))
+        if not isinstance(s, Shift):
+            raise InputError("action matrices need interval shift support")
+        d, p, q = s
+        codes = np.full(len(points), -2, dtype=np.int64)
+        domain = np.flatnonzero((points >= p) & (points <= q))
+        if abs(d) > span:       # every image leaves the window
+            codes[domain] = -1
+            return codes
+        image = points[domain] + d
+        at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+        codes[domain] = np.where(keys[at] == image, order[at], -1)
+        return codes
 
     return _term_matrix(len(B), _as_terms(f, None), act)
 

@@ -21,7 +21,6 @@ from invsemi.core import (
     FiniteInverseSemigroup,
     IXContext,
     PartialBijection,
-    identity_pb,
     max_group_image,
 )
 from invsemi.errors import (
@@ -40,7 +39,7 @@ from invsemi.graphs import (
     grading_phi,
 )
 from invsemi.scalars import QQi
-from util import graph_fiber, rand_qqi, rand_qqi_nonzero, raw_compose
+from util import graph_fiber, identity_pb, rand_qqi, rand_qqi_nonzero, raw_compose
 
 
 def rand_pb(rng, n=3):

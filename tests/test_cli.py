@@ -538,6 +538,34 @@ def test_shift_map_off_the_integer_window_is_input_error(capsys, tmp_path, comma
     assert "is not an integer in [-5, 6]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("element, message", [
+    # the bundle a, e and b generate holds constant shifts on intervals only
+    ({"map": [[0, 0], [2, 2]]}, "not a constant shift on an interval"),    # a gap
+    ({"map": [[0, 1], [1, 3]]}, "not a constant shift on an interval"),    # uneven
+    ({"map": [[0, 1], [1, 1]]}, "not injective"),
+])
+def test_shift_map_that_is_no_interval_shift_is_input_error(capsys, tmp_path, element,
+                                                            message):
+    doc = {"kind": "shift_bundle", "window": 2, "element": element}
+    code, out, err = run(capsys, ["fibers"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["example62", "--window", "10000001"], None),
+    (["psd"], {"kind": "shift_bundle", "window": 10000001,
+               "element": {"terms": [["e", "1"], ["b", "-1"]]}}),
+])
+def test_action_window_past_the_cap_is_input_error(capsys, tmp_path, argv, doc):
+    # one past the cap: refused before a single point is listed
+    code, out, err = run(capsys, argv, doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "action cap 10000000" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"table": [[0]], "star": [0, 0]}, "$.star: 2 entries for 1 elements"),
     # a left-zero band: every element is an inverse of every other

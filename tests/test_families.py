@@ -4,10 +4,12 @@ from itertools import combinations
 import pytest
 
 from invsemi.algebra import AlgebraElement, check_grading, epsilon_star_square
-from invsemi.core import GroupTable, PartialBijection, close_generators, identity_pb
+from invsemi.core import GroupTable, close_generators
 from invsemi.errors import InputError
 from invsemi.families import (
+    EMPTY_SHIFT,
     BRContext,
+    Shift,
     ShiftBundle,
     TQContext,
     br_coset_rep,
@@ -24,7 +26,7 @@ from invsemi.families import (
     tq_oracle_check,
     tq_phi,
 )
-from util import rand_qqi
+from util import as_pb, identity_pb, interval_shifts, rand_qqi
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +173,32 @@ def test_br_epsilon_star_square():
 def test_bundle_parts():
     bun = example62(3)
     assert isinstance(bun, ShiftBundle)
-    assert bun.a.map == {k: k + 1 for k in range(-3, 4)}
-    assert bun.e.map == {k: k for k in range(0, 4)}
-    assert bun.b.map == {k: k + 1 for k in range(0, 4)}
+    assert as_pb(bun.a).map == {k: k + 1 for k in range(-3, 4)}
+    assert as_pb(bun.e).map == {k: k for k in range(0, 4)}
+    assert as_pb(bun.b).map == {k: k + 1 for k in range(0, 4)}
     ctx = bun
     # b* b = e exactly, b b* is the identity one step up
     assert ctx.product(ctx.star(bun.b), bun.b) == bun.e
-    assert ctx.product(bun.b, ctx.star(bun.b)) == identity_pb(range(1, 5))
+    assert as_pb(ctx.product(bun.b, ctx.star(bun.b))) == identity_pb(range(1, 5))
     # e a* = b*
     assert ctx.product(bun.e, ctx.star(bun.a)) == ctx.star(bun.b)
     with pytest.raises(InputError):
         example62(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shift_product_and_star_match_partial_bijections(n):
+    # every interval shift on the bundle's window [-n, n+1], and the zero
+    bun = example62(n)
+    shifts = interval_shifts(-n, n + 1) + [bun.zero]
+    pbs = {s: as_pb(s) for s in shifts}
+    for s in shifts:
+        assert pbs[bun.star(s)] == pbs[s].inverse()
+        for t in shifts:
+            st, want = bun.product(s, t), pbs[s].compose(pbs[t])
+            assert as_pb(st) == want
+            # the empty product is the one canonical zero
+            assert bun.is_zero(st) == (not want.map)
 
 
 def test_bundle_epsilon_exact():
@@ -193,12 +210,21 @@ def test_bundle_epsilon_exact():
         assert got == want and got.is_exact()
 
 
+def test_bundle_epsilon_is_scale_free():
+    # no point list is built, so a window of 10^12 costs what a window of 5 does
+    N = 10 ** 12
+    bun = example62(N)
+    want = AlgebraElement(bun, [(Shift(0, 0, N), 1), (Shift(1, 0, N), -1),
+                                (Shift(-1, 1, N + 1), -1)])
+    assert bun.epsilon_xx_star() == want
+
+
 def test_bundle_xx_star_terms():
     bun = example62(4)
     ctx = bun
     xxs = bun.xx_star()
     aa_star = ctx.product(bun.a, ctx.star(bun.a))
-    assert aa_star == identity_pb(range(-3, 6))
+    assert as_pb(aa_star) == identity_pb(range(-3, 6))
     expected = AlgebraElement(ctx, [(bun.e, 1), (bun.b, -1),
                                     (ctx.star(bun.b), -1), (aa_star, 1)])
     assert xxs == expected
@@ -208,7 +234,7 @@ def test_bundle_xx_star_terms():
 def enumerate_h(n):
     """All constant shifts with domain and range in [0, n+1], minus the full
     identity, plus the empty map."""
-    out = {PartialBijection({})}
+    out = {EMPTY_SHIFT}
     top = n + 1
     for d in range(-top, top + 1):
         lo, hi = max(0, -d), top - max(0, d)
@@ -216,28 +242,31 @@ def enumerate_h(n):
             for q in range(p, hi + 1):
                 if d == 0 and p == 0 and q == top:
                     continue
-                out.add(PartialBijection({k: k + d for k in range(p, q + 1)}))
+                out.add(Shift(d, p, q))
     return out
 
 
 def test_h_predicate_matches_brute_closure():
     for n in (2, 3):
         bun = example62(n)
-        S = close_generators([bun.b])
+        S = close_generators([as_pb(bun.b)])
         closure = {S.witnesses[i] for i in range(S.n)}
-        assert closure == enumerate_h(n)
-        assert all(bun.h_member(pb) for pb in closure)
+        assert closure == {as_pb(s) for s in enumerate_h(n)}
+        # every shift on the whole window is a member exactly when it is
+        # in the closure
+        for s in interval_shifts(-n, n + 1) + [bun.zero]:
+            assert bun.h_member(s) == (as_pb(s) in closure)
         full = identity_pb(range(0, n + 2))
-        assert not bun.h_member(full)
+        assert not bun.h_member(Shift(0, 0, n + 1))
         assert full not in closure
 
 
 def test_h_predicate_rejects_non_shifts():
+    # a gap or an uneven map is no Shift at all: decoding one exits 2 (see
+    # test_cli); what is left is a shift off the b-generated part
     bun = example62(2)
-    assert not bun.h_member(PartialBijection({0: 0, 2: 2}))  # gap
-    assert not bun.h_member(PartialBijection({0: 1, 1: 3}))  # uneven
-    assert not bun.h_member(PartialBijection({-1: 0}))       # negative domain
-    assert bun.h_member(PartialBijection({}))
+    assert not bun.h_member(Shift(1, -1, -1))       # negative domain
+    assert bun.h_member(bun.zero)
     assert bun.h_member(bun.b)
     assert bun.h_member(bun.e)
 
@@ -250,7 +279,7 @@ def test_bundle_grading_and_fiber_squares():
     expected = AlgebraElement(ctx, [(bun.e, 1), (a_star_a, 1)])
     assert sq == expected
     with pytest.raises(InputError):
-        bun.shift_degree(PartialBijection({0: 0, 1: 2}))
+        bun.shift_degree(bun.zero)
 
 
 # ---------------------------------------------------------------------------

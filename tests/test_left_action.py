@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from invsemi.algebra import AlgebraElement
-from invsemi.core import GroupTable, PartialBijection
-from invsemi.families import BRContext, TQContext, br_z2_contexts, example62
+from invsemi.core import GroupTable
+from invsemi.families import BRContext, Shift, TQContext, br_z2_contexts, example62
 from invsemi.jsonio import load_fixture
 from invsemi.rep import (RepMatrix, Truncation, action_matrix, lambda_matrix,
                          norm_lower_bound, rho_matrix)
 import invsemi.rep as rep_module
 from invsemi.scalars import as_scalar
-from util import left_oracle, oracle_codes, rand_qqi, right_oracle
+from util import as_pb, left_oracle, oracle_codes, rand_qqi, right_oracle
 
 HUGE = 2 ** 70
 
@@ -170,13 +170,12 @@ def test_action_matrix_matches_point_images(n):
     rng = random.Random(n)
     points = sb.action_points
     half = rng.sample(points, len(points) // 2 + 1)
-    shifts = [PartialBijection({k: k + d for k in range(-n, n + 2) if -n <= k + d <= n + 1})
-              for d in (-2, -1, 0, 1, 3)]
+    shifts = [Shift(d, max(-n, -n - d), min(n + 1, n + 1 - d)) for d in (-2, -1, 0, 1, 3)]
     for window in (points, half):
         B = Truncation(None, window)
         for _ in range(3):
             f = AlgebraElement(sb, [(rng.choice(shifts + [sb.e, sb.b]), rand_qqi(rng))
                                     for _ in range(rng.randint(1, 4))])
             want = _oracle_matrix(len(B), B.index, f.terms,
-                                  lambda s: map(s.map.get, B.elements))
+                                  lambda s: map(as_pb(s).map.get, B.elements))
             assert _same(action_matrix(f, B), want)

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from invsemi.algebra import (FREE_GROUP, INTEGERS, AlgebraElement, Grading,
                              convolve, involution)
-from invsemi.core import (FiniteInverseSemigroup, IXContext, PartialBijection,
+from invsemi.core import (FiniteInverseSemigroup, PartialBijection,
                           SemigroupContext, close_generators, idempotents,
                           max_group_image, natural_leq)
 from invsemi.errors import InputError, NotHermitian
-from invsemi.families import br_grading, br_window, br_z2_contexts, example62
+from invsemi.families import Shift, br_grading, br_window, br_z2_contexts, example62
 from invsemi.graphs import (DirectedGraph, GraphContext, PathPair, enumerate_pairs,
                             graph_grading)
 from invsemi.rep import (RepMatrix, Truncation, action_matrix,
@@ -26,7 +26,8 @@ from invsemi.rep import (RepMatrix, Truncation, action_matrix,
                          rho_matrix)
 import invsemi.rep as rep_module
 from invsemi.scalars import QQi, is_exact, to_complex
-from util import dict_gram, dict_product, per_column_rep_identity_check, rand_qqi
+from util import (as_pb, dict_gram, dict_product, interval_shifts,
+                  per_column_rep_identity_check, rand_qqi)
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +129,14 @@ def test_norm_lower_bound_gram_matches_dict_loop_oracle():
         for _ in range(rng.randint(1, 4)):
             if n == 300:
                 k = rng.randint(-2, 2)
-                pb = PartialBijection({p: p + k for p in range(max(0, -k), n - max(0, k))})
+                s = Shift(k, max(0, -k), n - max(0, k) - 1)
             else:
-                pts = rng.sample(range(n), rng.randint(1, n))
-                pb = PartialBijection(dict(zip(pts, rng.sample(range(n), len(pts)))))
-            terms.append((pb, random_scalar(rng, trial % 3 > 0)))
-        f, B = AlgebraElement(IXContext(range(n)), terms), Truncation(None, range(n))
+                # a random interval shift with domain and range in range(n)
+                k = rng.randint(1 - n, n - 1)
+                p = rng.randint(max(0, -k), n - 1 - max(0, k))
+                s = Shift(k, p, rng.randint(p, n - 1 - max(0, k)))
+            terms.append((s, random_scalar(rng, trial % 3 > 0)))
+        f, B = AlgebraElement(example62(n), terms), Truncation(None, range(n))
         M = action_matrix(f, B)
         if not len(M.vids) or M.is_hermitian():
             continue
@@ -422,15 +425,16 @@ def test_norm_lower_bound_gram_path_for_non_hermitian(banded_calls):
     # two shift blocks of 350 points with complex weights: not Hermitian
     rng = random.Random(13)
     n, half = 700, 350
-    ctx = IXContext(range(n))
+    ctx = example62(n)
 
-    def shift(k):
-        return PartialBijection({p: p + k for p in range(n - k)
-                                 if (p < half) == (p + k < half)})
+    def shift(k, c, star=False):
+        """x -> x + k inside each block of `half` points, one interval shift
+        per block, each with coefficient c."""
+        pieces = [Shift(k, 0, half - k - 1), Shift(k, half, n - k - 1)]
+        return [(ctx.star(s) if star else s, c) for s in pieces]
 
-    f = AlgebraElement(ctx, [(PartialBijection({p: p for p in range(n)}), rand_qqi(rng)),
-                             (shift(1), rand_qqi(rng)), (shift(2), rand_qqi(rng)),
-                             (shift(1).inverse(), rand_qqi(rng))])
+    f = AlgebraElement(ctx, [(Shift(0, 0, n - 1), rand_qqi(rng)), *shift(1, rand_qqi(rng)),
+                             *shift(2, rand_qqi(rng)), *shift(1, rand_qqi(rng), star=True)])
     B = Truncation(None, range(n))
     M = action_matrix(f, B)
     assert not M.is_hermitian()
@@ -701,6 +705,24 @@ def test_action_matrix_rejects_a_repeated_point():
         action_matrix(sb.x, points + points[:1])
 
 
+@pytest.mark.parametrize("f, points", [
+    (PartialBijection({0: 1}), [0, 1]),     # support that is no interval shift
+    (Shift(1, 0, 0), ["x", "y"]),           # points that are no integers
+    (Shift(1, 0, 0), [0.0, 1.0]),
+    (Shift(1, 0, 0), [0, 2 ** 70]),
+])
+def test_action_matrix_rejects_other_support_and_points(f, points):
+    with pytest.raises(InputError):
+        action_matrix(f, points)
+
+
+def test_action_matrix_shift_past_every_point():
+    # the image leaves the window however far it lands, with no int64 overflow
+    for d in (2 ** 70, -2 ** 70):
+        M = action_matrix(Shift(d, -2 ** 70, 2 ** 70), range(4))
+        assert len(M.vids) == 0 and M.dropped == 4
+
+
 # ---------------------------------------------------------------------------
 # coaction unitary
 # ---------------------------------------------------------------------------
@@ -754,10 +776,11 @@ def test_h_block_check_idempotents_of_closure():
 
 def test_h_block_check_on_shift_bundle():
     sb = example62(3)
-    inner = close_generators([sb.b], carrier=sb.carrier)
-    basis = list(inner.witnesses) + [sb.a, sb.a.inverse(),
-                                     sb.a.compose(sb.a.inverse())]
-    B = Truncation(sb, [w for w in basis if w.map])
+    inner = set(close_generators([as_pb(sb.b)]).witnesses)
+    a_star = sb.star(sb.a)
+    basis = [s for s in interval_shifts(-3, 4) if as_pb(s) in inner] + [
+        sb.a, a_star, sb.product(sb.a, a_star)]
+    B = Truncation(sb, basis)
     report = h_block_check(sb.b, sb.h_member, B)
     assert report["ok"] and report["checked"] > 0
     with pytest.raises(InputError):

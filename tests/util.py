@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from invsemi.core import PartialBijection
+from invsemi.families import Shift
 from invsemi.graphs import enumerate_pairs, graph_grading
 from invsemi.rep import RepMatrix
 from invsemi.scalars import QQi, to_complex
@@ -31,6 +33,25 @@ def junction_rule(graph, p, q):
     if len(nu) >= len(alpha):
         return mu, graph.path(beta.edges + nu.edges[k:], base=nu.base)
     return graph.path(mu.edges + alpha.edges[k:], base=alpha.base), beta
+
+
+# -- interval shifts as partial bijections ----------------------------------
+
+def identity_pb(points) -> PartialBijection:
+    return PartialBijection({p: p for p in points})
+
+
+def as_pb(shift: Shift) -> PartialBijection:
+    """The shift (d, p, q) as the partial bijection x -> x + d on [p, q]."""
+    d, p, q = shift
+    return PartialBijection({k: k + d for k in range(p, q + 1)})
+
+
+def interval_shifts(lo, hi):
+    """Every nonempty constant shift whose domain and range lie in [lo, hi]."""
+    return [Shift(d, p, q) for d in range(lo - hi, hi - lo + 1)
+            for p in range(max(lo, lo - d), min(hi, hi - d) + 1)
+            for q in range(p, min(hi, hi - d) + 1)]
 
 
 # -- raw dict-based partial map oracle (independent of PartialBijection) ----
