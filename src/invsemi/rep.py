@@ -250,33 +250,38 @@ def rho_matrix(a, B: Truncation) -> RepMatrix:
 def action_matrix(f, window) -> RepMatrix:
     """Point-mass action of interval shifts: entry (s(x), x) += f(s).
 
-    The window is a list of distinct integer points in any order, gaps
-    allowed; a window that is not a Truncation becomes one, so a repeated
-    point is an InputError. Each image is looked up among the sorted points.
+    The window is a Truncation or a list of distinct integer points, in any
+    order, gaps allowed; a repeated point is an InputError. Each image is
+    looked up among the sorted points.
     """
-    B = window if isinstance(window, Truncation) else Truncation(None, window)
-    points = np.asarray(B.elements) if len(B) else np.zeros(0, dtype=np.int64)
+    points = window.elements if isinstance(window, Truncation) else list(window)
+    points = np.asarray(points) if len(points) else np.zeros(0, dtype=np.int64)
     if points.dtype.kind != "i":
         raise InputError("an action window must list integer points")
     order = np.argsort(points, kind="stable")
     keys = points[order]
-    span = int(keys[-1] - keys[0]) if len(keys) else 0
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    if len(repeated):
+        raise InputError(f"duplicate window point {int(repeated[0])}")
+    lo, hi = (int(keys[0]), int(keys[-1])) if len(keys) else (0, -1)
 
     def act(s):
         if not isinstance(s, Shift):
             raise InputError("action matrices need interval shift support")
         d, p, q = s
+        p, q = max(p, lo), min(q, hi)               # the domain inside [lo, hi]
         codes = np.full(len(points), -2, dtype=np.int64)
-        domain = np.flatnonzero((points >= p) & (points <= q))
-        if abs(d) > span:       # every image leaves the window
-            codes[domain] = -1
-            return codes
-        image = points[domain] + d
-        at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
-        codes[domain] = np.where(keys[at] == image, order[at], -1)
+        codes[(points >= p) & (points <= q)] = -1
+        p, q = max(p, lo - d), min(q, hi - d)       # ... whose image is too
+        if p <= q:
+            domain = np.flatnonzero((points >= p) & (points <= q))
+            # every image lies in [lo, hi], so adding d modulo 2**64 is exact
+            image = points[domain] + ((d + 2 ** 63) % 2 ** 64 - 2 ** 63)
+            at = np.searchsorted(keys, image)
+            codes[domain] = np.where(keys[at] == image, order[at], -1)
         return codes
 
-    return _term_matrix(len(B), _as_terms(f, None), act)
+    return _term_matrix(len(points), _as_terms(f, None), act)
 
 
 # ---------------------------------------------------------------------------

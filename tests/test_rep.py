@@ -125,19 +125,22 @@ def test_norm_lower_bound_gram_matches_dict_loop_oracle():
     gram_cases = 0
     for trial in range(60):
         n = 300 if trial % 5 == 0 else rng.randint(2, 30)
-        terms = []
+        terms, entries = [], []
         for _ in range(rng.randint(1, 4)):
             if n == 300:
                 k = rng.randint(-2, 2)
-                s = Shift(k, max(0, -k), n - max(0, k) - 1)
+                pieces = [(k, max(0, -k), n - max(0, k) - 1)]
             else:
-                # a random interval shift with domain and range in range(n)
-                k = rng.randint(1 - n, n - 1)
-                p = rng.randint(max(0, -k), n - 1 - max(0, k))
-                s = Shift(k, p, rng.randint(p, n - 1 - max(0, k)))
-            terms.append((s, random_scalar(rng, trial % 3 > 0)))
+                # a random partial permutation (any pattern, several blocks),
+                # written as one single-point shift x -> y per point
+                pts = rng.sample(range(n), rng.randint(1, n))
+                pieces = [(y - x, x, x) for x, y in zip(pts, rng.sample(range(n), len(pts)))]
+            c = random_scalar(rng, trial % 3 > 0)
+            terms += [(Shift(*piece), c) for piece in pieces]
+            entries += [((x + d, x), c) for d, p, q in pieces for x in range(p, q + 1)]
         f, B = AlgebraElement(example62(n), terms), Truncation(None, range(n))
         M = action_matrix(f, B)
+        assert M == RepMatrix(n, entries)
         if not len(M.vids) or M.is_hermitian():
             continue
         gram_cases += 1
@@ -721,6 +724,16 @@ def test_action_matrix_shift_past_every_point():
     for d in (2 ** 70, -2 ** 70):
         M = action_matrix(Shift(d, -2 ** 70, 2 ** 70), range(4))
         assert len(M.vids) == 0 and M.dropped == 4
+    # windows spanning 2**63 or more: the span and d pass int64, the images do not
+    low, top = -2 ** 63, 2 ** 63 - 1
+    M = action_matrix(Shift(0, -2 ** 62, 2 ** 62), [-2 ** 62, 2 ** 62])
+    assert M == identity(2) and M.dropped == 0
+    M = action_matrix(Shift(2 ** 63, -2 ** 62, 2 ** 62), [-2 ** 62, 0, 2 ** 62])
+    assert M == RepMatrix(3, {(2, 0): 1}) and M.dropped == 2
+    M = action_matrix(Shift(top - low, low, top), [top, 0, low])
+    assert M == RepMatrix(3, {(0, 2): 1}) and M.dropped == 2
+    M = action_matrix(Shift(low - top, low, top), [top, 0, low])
+    assert M == RepMatrix(3, {(2, 0): 1}) and M.dropped == 2
 
 
 # ---------------------------------------------------------------------------
