@@ -14,6 +14,10 @@ Eigensolves use the structure of these matrices: a matrix splits into the
 connected blocks of its entry graph (degree fibers, for a kernel element of a
 graded algebra), and each block goes to dense LAPACK when small or wide, or
 to banded LAPACK when its band is narrow (action matrices are tridiagonal).
+Blocks of equal content are solved once: lambda preserves L-classes (ab lies
+in the L-class of b), and the L-classes of one D-class carry unitarily
+equivalent blocks, so a window closed under that equivalence repeats one
+block per L-class (the Bruck-Reilly window of level M holds M + 1 copies).
 Every size takes the same path, and the result is deterministic.
 """
 
@@ -109,15 +113,29 @@ class RepMatrix:
         keys, vids = (rows * n + cols)[order], vids[order]
         start = np.flatnonzero(np.diff(keys, prepend=-1))
         ends = np.append(start[1:], len(keys))
-        multi = np.flatnonzero(ends - start > 1)
-        flat, values = vids.tolist(), list(values)
-        repeats = [tuple(flat[s:e]) for s, e in zip(start[multi].tolist(), ends[multi].tolist())]
-        runs = dict.fromkeys(repeats)   # equal runs of ids share one sum
-        for run in runs:
-            runs[run] = len(values)
-            values.append(reduce(operator.add, map(values.__getitem__, run)))
-        summed = vids[start]
-        summed[multi] = [runs[run] for run in repeats]
+        # equal runs of ids share one sum: the distinct runs of each length,
+        # summed in insertion order and appended in the order they first appear
+        lengths = ends - start
+        multi = np.flatnonzero(lengths > 1)
+        lengths = lengths[multi]    # frees the array over every position
+        by_size = np.argsort(lengths, kind="stable")
+        multi = multi[by_size]
+        sizes, cuts = np.unique(lengths[by_size], return_index=True)
+        run_of, runs, firsts = np.empty(len(multi), dtype=np.int64), [], []
+        for size, lo, at in zip(sizes.tolist(), cuts.tolist(), np.split(multi, cuts[1:])):
+            grid = vids[start[at, None] + np.arange(size)]
+            perm = np.lexsort(grid.T[::-1])     # rows in lexicographic order, stably
+            grid = grid[perm]
+            new = np.ones(len(at), dtype=bool)
+            new[1:] = (grid[1:] != grid[:-1]).any(axis=1)
+            run_of[lo + perm] = len(runs) + np.cumsum(new) - 1
+            runs += grid[new].tolist()
+            firsts += at[perm[new]].tolist()
+        by_first = np.argsort(np.array(firsts, dtype=np.int64))
+        summed, values = vids[start], list(values)
+        summed[multi] = len(values) + np.argsort(by_first)[run_of]
+        values += [reduce(operator.add, map(values.__getitem__, runs[k]))
+                   for k in by_first.tolist()]
         table = {}
         canon = np.array([table.setdefault((is_exact(c), c), len(table)) if c else -1
                           for c in values], dtype=np.int64)[summed]
@@ -348,11 +366,21 @@ def _block_eigvals(size, rows, cols, vals, picks):
 
 def _extreme_eigvals(M: RepMatrix, picks=(0, -1)):
     """Smallest (pick 0) and largest (pick -1) eigenvalue of a Hermitian M,
-    block by block; a banded block is solved once per pick."""
+    block by block; a banded block is solved once per pick.
+
+    Blocks of equal content (size, local positions and float values, to the
+    bit) are solved once, and every copy adds that solve's values: lambda
+    keeps L-classes apart, and the L-classes of one D-class carry unitarily
+    equivalent blocks. A lone block builds no key.
+    """
     blocks, free = _blocks(M)
     found = [[0.0] * bool(free) for _ in picks]
-    for block in blocks:
-        for bucket, value in zip(found, _block_eigvals(*block, picks=picks)):
+    solved = {}
+    for size, *arrays in blocks:
+        key = (size, *(a.tobytes() for a in arrays)) if len(blocks) > 1 else None
+        if key not in solved:
+            solved[key] = _block_eigvals(size, *arrays, picks=picks)
+        for bucket, value in zip(found, solved[key]):
             bucket.append(value)
     out = [min(b) if p == 0 else max(b) for p, b in zip(picks, found)]
     if not all(map(math.isfinite, out)):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invsemi.algebra import (FREE_GROUP, INTEGERS, AlgebraElement, Grading,
@@ -26,7 +26,7 @@ from invsemi.rep import (RepMatrix, Truncation, action_matrix,
                          rho_matrix)
 import invsemi.rep as rep_module
 from invsemi.scalars import QQi, is_exact, to_complex
-from util import (as_pb, dict_gram, dict_product, interval_shifts,
+from util import (as_pb, dict_gram, dict_product, interval_shifts, per_block_extreme_eigvals,
                   per_column_rep_identity_check, rand_qqi)
 
 
@@ -375,20 +375,35 @@ def banded_calls(monkeypatch):
     return calls
 
 
-def test_block_solver_splits_br_square_into_degree_blocks():
+def test_block_solver_splits_br_square_into_degree_blocks(monkeypatch):
+    # lambda keeps L-classes apart, and the L-classes of one D-class give
+    # equal blocks: level M has M + 1 blocks of 2(M + 1) rows, solved once
     rng = random.Random(5)
     ctx, _ = br_z2_contexts()
     f = AlgebraElement(ctx, [((0, 0, 0), rand_qqi(rng)), ((1, 1, 0), rand_qqi(rng)),
                              ((2, 0, 1), rand_qqi(rng)), ((0, 1, 3), rand_qqi(rng))])
     ff = convolve(involution(f), f)
-    B = Truncation(ctx, br_window(ctx, 9))
-    M = lambda_matrix(ff, B)
-    blocks, free = rep_module._blocks(M)
-    assert (M.n, free) == (200, 0)
-    assert sorted(size for size, *_ in blocks) == [20] * 10
-    assert_spectrum_matches(M)
-    vals = np.linalg.eigvalsh(M.to_dense())
-    assert abs(norm_lower_bound(ff, B) - max(-vals[0], vals[-1])) < 1e-9
+    solve, calls = rep_module._block_eigvals, []
+
+    def spy(size, *args, **kwargs):
+        calls.append(size)
+        return solve(size, *args, **kwargs)
+
+    monkeypatch.setattr(rep_module, "_block_eigvals", spy)
+    for level in (9, 25):
+        B = Truncation(ctx, br_window(ctx, level))
+        M = lambda_matrix(ff, B)
+        blocks, free = rep_module._blocks(M)
+        assert (M.n, free) == (2 * (level + 1) ** 2, 0)
+        assert sorted(size for size, *_ in blocks) == [2 * (level + 1)] * (level + 1)
+        calls.clear()
+        value = min_eig(M)
+        assert calls == [2 * (level + 1)]
+        if level == 9:
+            assert_spectrum_matches(M)
+            vals = np.linalg.eigvalsh(M.to_dense())
+            assert abs(norm_lower_bound(ff, B) - max(-vals[0], vals[-1])) < 1e-9
+    assert psd_refute(ff, B)["value"] == value == per_block_extreme_eigvals(M, (0,))[0]
 
 
 def test_block_solver_complex_banded_block(banded_calls):
@@ -424,28 +439,44 @@ def test_block_solver_counts_untouched_indices_as_zero_eigenvalues():
     assert_spectrum_matches(M)
 
 
-def test_norm_lower_bound_gram_path_for_non_hermitian(banded_calls):
-    # two shift blocks of 350 points with complex weights: not Hermitian
-    rng = random.Random(13)
+def two_shift_blocks(rng, distinct):
+    """f on 700 points whose action is two shift blocks of 350 points with
+    complex weights, not Hermitian: each shift has one interval per block,
+    with one coefficient, or with `distinct` a second one for the second
+    block."""
     n, half = 700, 350
     ctx = example62(n)
 
-    def shift(k, c, star=False):
-        """x -> x + k inside each block of `half` points, one interval shift
-        per block, each with coefficient c."""
-        pieces = [Shift(k, 0, half - k - 1), Shift(k, half, n - k - 1)]
-        return [(ctx.star(s) if star else s, c) for s in pieces]
+    def shift(k, star=False):
+        c = rand_qqi(rng)
+        pieces = [(Shift(k, 0, half - k - 1), c),
+                  (Shift(k, half, n - k - 1), rand_qqi(rng) if distinct else c)]
+        return [(ctx.star(s) if star else s, w) for s, w in pieces]
 
-    f = AlgebraElement(ctx, [(Shift(0, 0, n - 1), rand_qqi(rng)), *shift(1, rand_qqi(rng)),
-                             *shift(2, rand_qqi(rng)), *shift(1, rand_qqi(rng), star=True)])
-    B = Truncation(None, range(n))
+    f = AlgebraElement(ctx, [(Shift(0, 0, n - 1), rand_qqi(rng)), *shift(1), *shift(2),
+                             *shift(1, star=True)])
+    return f, Truncation(None, range(n))
+
+
+def check_gram_path(banded_calls, distinct, solves):
+    f, B = two_shift_blocks(random.Random(13), distinct)
     M = action_matrix(f, B)
     assert not M.is_hermitian()
     assert len(rep_module._blocks(M)[0]) == 2
     val = norm_lower_bound(f, B, rep="action")
     assert abs(val - np.linalg.svd(M.to_dense(), compute_uv=False)[0]) < 1e-9
-    # bands 2 below and 1 above give a Gram band of 3; one solve per block
-    assert banded_calls == [((4, half), np.complex128)] * 2
+    # bands 2 below and 1 above give a Gram band of 3; one solve per
+    # distinct block
+    assert banded_calls == [((4, 350), np.complex128)] * solves
+
+
+def test_norm_lower_bound_gram_path_for_non_hermitian(banded_calls):
+    # both blocks carry the same coefficients, so their Gram blocks are equal
+    check_gram_path(banded_calls, distinct=False, solves=1)
+
+
+def test_norm_lower_bound_gram_path_solves_distinct_blocks_apart(banded_calls):
+    check_gram_path(banded_calls, distinct=True, solves=2)
 
 
 def test_psd_refute_large_br_square_is_not_refuted():
@@ -590,6 +621,89 @@ def test_repmatrix_storage_matches_dict_oracle(case):
         assert err.value.witness == bad[0]
     else:
         assert abs(min_eig(M) - np.linalg.eigvalsh(dense)[0]) < 1e-9
+
+
+REAL_VALUE = st.one_of(st.builds(QQi, SMALL), st.floats(-2, 2).map(complex)).filter(bool)
+NONZERO_VALUE = st.one_of(st.builds(QQi, SMALL, SMALL),
+                          st.floats(-2, 2).map(complex)).filter(bool)
+
+
+@st.composite
+def repeated_blocks(draw):
+    """(n, {(i, j): c}): one Hermitian block laid down 2-4 times with
+    untouched indices around the copies. A copy is equal, has one value
+    changed, or has the same values at other positions (one entry and its
+    mirror moved). The block is small (dense solver) or a chain of 257-260
+    rows (banded solver). Some cases add one entry without its mirror."""
+    # a block draws from a few values, so that moved entries often leave
+    # its row-major list of values as it was
+    reals, values = (draw(st.lists(s, min_size=1, max_size=2))
+                     for s in (REAL_VALUE, NONZERO_VALUE))
+
+    def put(block, i, j, c):
+        block[(i, j)], block[(j, i)] = c, c.conjugate()
+
+    def pick(items):
+        return items[draw(st.integers(0, len(items) - 1))]
+
+    base = {}
+    if draw(st.sampled_from(["small", "small", "small", "chain"])) == "small":
+        size = draw(st.integers(1, 5))
+        for i, j in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                            st.integers(0, size - 1)), max_size=10)):
+            put(base, min(i, j), max(i, j), draw(st.sampled_from(reals if i == j else values)))
+    else:
+        size = draw(st.integers(257, 260))
+        for i in range(size - 1):
+            put(base, i, i + 1, values[i % len(values)])
+        base[(0, 0)] = reals[0]
+    d, n = {}, 0
+    for _ in range(draw(st.integers(2, 4))):
+        copy = dict(base)
+        kind = draw(st.sampled_from(["equal", "equal", "value", "moved"]))
+        if kind == "value" and copy:
+            i, j = pick(sorted(copy))
+            put(copy, i, j, draw(REAL_VALUE if i == j else NONZERO_VALUE))
+        elif kind == "moved" and copy:
+            i, j = pick(sorted(k for k in copy if k[0] <= k[1]))
+            free = [(a, b) for a in range(min(size, 6)) for b in range(a, min(size, 6))
+                    if (a == b) == (i == j) and (a, b) not in copy]
+            if free:
+                c = copy.pop((i, j))
+                copy.pop((j, i), None)
+                put(copy, *pick(free), c)
+        n += draw(st.integers(0, 2))
+        d.update({(n + i, n + j): c for (i, j), c in copy.items()})
+        n += size
+    n += draw(st.integers(0, 2))
+    if n > 1 and draw(st.sampled_from([False, False, False, True])):
+        i, j = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda ij: ij[0] != ij[1]))
+        d[(i, j)] = d.get((i, j), 0) + draw(st.builds(QQi, SMALL, SMALL).filter(bool))
+    return n, {k: c for k, c in d.items() if c}
+
+
+# a path with its diagonal entry at one end, then a star with it at the
+# centre: equal sizes and equal values in row-major order, at other
+# positions, and the star's top eigenvalue (2) is above the path's (1.80)
+PATH_THEN_STAR = (6, dict.fromkeys([(0, 0), (0, 1), (1, 0), (1, 2), (2, 1),
+                                    (3, 3), (3, 4), (3, 5), (4, 3), (5, 3)], QQi(1)))
+
+
+@settings(max_examples=30)
+@given(repeated_blocks())
+@example(PATH_THEN_STAR)
+def test_extreme_eigvals_match_per_block_oracle(case):
+    n, d = case
+    M = RepMatrix(n, d)
+    bad = asymmetric_positions(d, 1e-10)
+    if bad:
+        with pytest.raises(NotHermitian) as err:
+            min_eig(M)
+        assert err.value.witness == bad[0]
+        return
+    for picks in ((0,), (-1,), (0, -1)):
+        assert rep_module._extreme_eigvals(M, picks) == per_block_extreme_eigvals(M, picks)
 
 
 # ---------------------------------------------------------------------------

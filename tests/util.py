@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from invsemi import rep
 from invsemi.core import PartialBijection
 from invsemi.families import Shift
 from invsemi.graphs import enumerate_pairs, graph_grading
@@ -373,3 +374,14 @@ def dict_gram(M):
             for k, b in row:
                 G[(j, k)] = G.get((j, k), 0j) + a.conjugate() * b
     return RepMatrix(M.n, G)
+
+
+def per_block_extreme_eigvals(M, picks=(0, -1)):
+    """`rep._extreme_eigvals` as a loop that solves every block on its own,
+    repeated blocks included."""
+    blocks, free = rep._blocks(M)
+    found = [[0.0] * bool(free) for _ in picks]
+    for block in blocks:
+        for bucket, value in zip(found, rep._block_eigvals(*block, picks=picks)):
+            bucket.append(value)
+    return [min(b) if p == 0 else max(b) for p, b in zip(picks, found)]
