@@ -226,8 +226,7 @@ def br_z2_contexts():
 class Shift(tuple):
     """The partial map x -> x + d on the integers of [p, q], stored as the
     plain tuple (d, p, q); the map is empty when p > q, and the bundle keeps
-    one canonical empty shift, its zero. It prints as the partial bijection
-    it stands for."""
+    one canonical empty shift, its zero. It prints as Shift(d, p, q)."""
 
     __slots__ = ()
 
@@ -235,8 +234,21 @@ class Shift(tuple):
         return tuple.__new__(cls, (d, p, q))
 
     def __repr__(self):
+        return f"Shift{tuple.__repr__(self)}"
+
+    def point_codes(self, lo, n):
+        """One int64 code per point of lo, ..., lo + n - 1: the offset of
+        x + d, -1 when x + d leaves the window, -2 outside [p, q]. Bounds
+        stay Python ints that slices clamp, so any size is exact."""
+        import numpy as np
+
         d, p, q = self
-        return f"PartialBijection({ {k: k + d for k in range(p, q + 1)}!r})"
+        codes = np.full(n, -2, dtype=np.int64)
+        codes[max(p - lo, 0):max(q - lo + 1, 0)] = -1     # [p, q] in the window
+        p, q = max(p, lo, lo - d), min(q, lo + n - 1, lo + n - 1 - d)
+        if p <= q:                                          # ... and its image
+            codes[p - lo:q - lo + 1] = np.arange(p + d - lo, q + d - lo + 1)
+        return codes
 
 
 EMPTY_SHIFT = Shift(0, 1, 0)

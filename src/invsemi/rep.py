@@ -1,9 +1,9 @@
 """Truncated regular representations and spectral certificates.
 
 A Truncation fixes an ordered basis of nonzero semigroup elements (or, for
-point actions, window points). Matrices are assembled sparsely with exact
-scalars whenever the input coefficients are exact, so representation
-identities can be asserted by recomputation rather than by tolerance.
+point actions, an integer interval of points). Matrices are assembled
+sparsely with exact scalars whenever the input coefficients are exact, so
+representation identities are asserted by recomputation, not tolerance.
 
 Certificates are one-sided by design: the compression of a positive operator
 is positive semidefinite, so a negative eigenvalue of a compressed matrix
@@ -33,7 +33,6 @@ import numpy as np
 
 from .algebra import AlgebraElement, Grading, _membership, convolve, epsilon_restrict, involution
 from .errors import ContextMismatch, InputError, NotHermitian
-from .families import Shift
 from .scalars import QQi, as_scalar, conj, is_exact, rand_qqi, to_complex
 
 # a block this small, or with a band wider than 1/_BAND_RATIO of its size,
@@ -43,7 +42,8 @@ _BAND_RATIO = 32
 
 
 class Truncation:
-    """Ordered basis of distinct nonzero elements with a membership index."""
+    """Ordered basis of distinct nonzero elements with a membership index;
+    with context None, the points of an action window (see action_matrix)."""
 
     def __init__(self, context, elements):
         self.context = context
@@ -266,40 +266,27 @@ def rho_matrix(a, B: Truncation) -> RepMatrix:
 
 
 def action_matrix(f, window) -> RepMatrix:
-    """Point-mass action of interval shifts: entry (s(x), x) += f(s).
+    """Point-mass action: entry (s(x), x) += f(s).
 
-    The window is a Truncation or a list of distinct integer points, in any
-    order, gaps allowed; a repeated point is an InputError. Each image is
-    looked up among the sorted points.
+    The window lists the ints lo, lo + 1, ..., lo + n - 1 in that order (a
+    list, a range, or a Truncation of one); any other window is an
+    InputError before an array is built. Each term answers its own
+    `point_codes(lo, n)`, as interval shifts do; other support is an
+    InputError.
     """
-    points = window.elements if isinstance(window, Truncation) else list(window)
-    points = np.asarray(points) if len(points) else np.zeros(0, dtype=np.int64)
-    if points.dtype.kind != "i":
-        raise InputError("an action window must list integer points")
-    order = np.argsort(points, kind="stable")
-    keys = points[order]
-    repeated = keys[1:][keys[1:] == keys[:-1]]
-    if len(repeated):
-        raise InputError(f"duplicate window point {int(repeated[0])}")
-    lo, hi = (int(keys[0]), int(keys[-1])) if len(keys) else (0, -1)
+    points = window.elements if isinstance(window, Truncation) else window
+    lo, n = (points[0] if len(points) else 0), len(points)
+    if not (set(map(type, points)) <= {int}
+            and all(map(operator.eq, points, range(lo, lo + n)))):
+        raise InputError("an action window must list the integers lo, lo + 1, ..., "
+                         "lo + n - 1 in order")
 
     def act(s):
-        if not isinstance(s, Shift):
+        if not hasattr(s, "point_codes"):
             raise InputError("action matrices need interval shift support")
-        d, p, q = s
-        p, q = max(p, lo), min(q, hi)               # the domain inside [lo, hi]
-        codes = np.full(len(points), -2, dtype=np.int64)
-        codes[(points >= p) & (points <= q)] = -1
-        p, q = max(p, lo - d), min(q, hi - d)       # ... whose image is too
-        if p <= q:
-            domain = np.flatnonzero((points >= p) & (points <= q))
-            # every image lies in [lo, hi], so adding d modulo 2**64 is exact
-            image = points[domain] + ((d + 2 ** 63) % 2 ** 64 - 2 ** 63)
-            at = np.searchsorted(keys, image)
-            codes[domain] = np.where(keys[at] == image, order[at], -1)
-        return codes
+        return s.point_codes(lo, n)
 
-    return _term_matrix(len(points), _as_terms(f, None), act)
+    return _term_matrix(n, _as_terms(f, None), act)
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +567,14 @@ def h_block_check(h, H, B: Truncation) -> dict:
                    "reason": "left the block"}
                   for j, i in zip(moved.tolist(), codes[moved].tolist())
                   if inside[j] != inside[i]]
-    # the H-basis keeps B's order, so both position lists are row-major
+    # column by column on the H-basis (B's order), in its positions: Lambda_S(h)
+    # where it lands inside H against Lambda_H(h), -1 for no entry either way
     sub = Truncation(ctx, [B.elements[i] for i in lift.tolist()])
-    one = {h: QQi(1)}
-    big = _term_matrix(len(B), one, lambda _: codes)
-    small = _term_matrix(len(sub), one, sub.left)
-    block = inside[big.rows] & inside[big.cols]
-    compression_ok = (np.array_equal(big.rows[block], lift[small.rows])
-                      and np.array_equal(big.cols[block], lift[small.cols]))
+    big, small = codes[lift], sub.left(h)
+    kept = big >= 0
+    kept[kept] = inside[big[kept]]
+    compression_ok = np.array_equal(np.where(kept, np.searchsorted(lift, big), -1),
+                                    np.maximum(small, -1))
     return {"h": repr(h), "checked": len(moved),
             "skipped": int(np.count_nonzero(codes == -1)),
             "violations": violations,

@@ -186,6 +186,12 @@ def test_bundle_parts():
         example62(0)
 
 
+def test_shift_prints_its_interval():
+    # the repr is O(1): it lists no point of the interval
+    assert repr(Shift(2 ** 70, -2 ** 70, 2 ** 70)) == f"Shift({2 ** 70}, {-2 ** 70}, {2 ** 70})"
+    assert repr(EMPTY_SHIFT) == "Shift(0, 1, 0)"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_shift_product_and_star_match_partial_bijections(n):
     # every interval shift on the bundle's window [-n, n+1], and the zero

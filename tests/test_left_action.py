@@ -7,7 +7,8 @@ derives R from it through the involution. Both are compared here with the
 left and right actions computed product by product, on every kind of
 context, on the full window, a shuffled half of it, and terms that lie
 outside the window; the matrices built from the codes are compared with
-matrices built from those images.
+matrices built from those images. The point action of shifts is compared
+the same way, on integer intervals placed around the bundle window.
 """
 
 import random
@@ -166,16 +167,18 @@ def test_lambda_and_rho_match_matrices_from_the_oracle(make, basis, monkeypatch)
 
 @pytest.mark.parametrize("n", [1, 4, 40])
 def test_action_matrix_matches_point_images(n):
+    # the action points 0..n, and sub-intervals inside the bundle window
+    # [-n, n+1], across each of its edges, and disjoint from it
     sb = example62(n)
     rng = random.Random(n)
-    points = sb.action_points
-    half = rng.sample(points, len(points) // 2 + 1)
+    windows = [sb.action_points, range(1 - n, n), range(n - 1, n + 4),
+               list(range(-n - 3, 2 - n)), range(n + 3, n + 6)]
     shifts = [Shift(d, max(-n, -n - d), min(n + 1, n + 1 - d)) for d in (-2, -1, 0, 1, 3)]
-    for window in (points, half):
+    for window in windows:
         B = Truncation(None, window)
         for _ in range(3):
             f = AlgebraElement(sb, [(rng.choice(shifts + [sb.e, sb.b]), rand_qqi(rng))
                                     for _ in range(rng.randint(1, 4))])
             want = _oracle_matrix(len(B), B.index, f.terms,
                                   lambda s: map(as_pb(s).map.get, B.elements))
-            assert _same(action_matrix(f, B), want)
+            assert _same(action_matrix(f, B), want) and _same(action_matrix(f, window), want)

@@ -1,9 +1,11 @@
+import ast
 import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,6 +514,19 @@ def test_min_eig_leaves_scipy_unloaded_on_small_windows():
     assert done.returncode == 0, done.stderr
 
 
+def test_rep_imports_no_family_or_front_end():
+    # rep stays family-generic: each family answers its own action codes
+    tree = ast.parse(Path(rep_module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"families", "graphs", "jsonio", "cli", "acceptance"}
+
+
 # ---------------------------------------------------------------------------
 # storage properties against plain-dict oracles
 # ---------------------------------------------------------------------------
@@ -816,10 +831,12 @@ def test_left_domain_is_natural_order_down_set(S):
 
 
 def test_action_matrix_rejects_a_repeated_point():
+    # and every other window that is no interval in increasing order
     sb = example62(3)
     points = list(sb.action_points)
-    with pytest.raises(InputError):
-        action_matrix(sb.x, points + points[:1])
+    for window in (points + points[:1], points + [points[-1] + 2], points[::-1]):
+        with pytest.raises(InputError):
+            action_matrix(sb.x, window)
 
 
 @pytest.mark.parametrize("f, points", [
@@ -827,6 +844,9 @@ def test_action_matrix_rejects_a_repeated_point():
     (Shift(1, 0, 0), ["x", "y"]),           # points that are no integers
     (Shift(1, 0, 0), [0.0, 1.0]),
     (Shift(1, 0, 0), [0, 2 ** 70]),
+    (Shift(1, 0, 0), [0, 2]),               # a gap
+    (Shift(1, 0, 0), [1, 0]),               # another order
+    (Shift(1, 0, 0), range(1, -1, -1)),
 ])
 def test_action_matrix_rejects_other_support_and_points(f, points):
     with pytest.raises(InputError):
@@ -834,20 +854,20 @@ def test_action_matrix_rejects_other_support_and_points(f, points):
 
 
 def test_action_matrix_shift_past_every_point():
-    # the image leaves the window however far it lands, with no int64 overflow
-    for d in (2 ** 70, -2 ** 70):
-        M = action_matrix(Shift(d, -2 ** 70, 2 ** 70), range(4))
-        assert len(M.vids) == 0 and M.dropped == 4
-    # windows spanning 2**63 or more: the span and d pass int64, the images do not
-    low, top = -2 ** 63, 2 ** 63 - 1
-    M = action_matrix(Shift(0, -2 ** 62, 2 ** 62), [-2 ** 62, 2 ** 62])
-    assert M == identity(2) and M.dropped == 0
-    M = action_matrix(Shift(2 ** 63, -2 ** 62, 2 ** 62), [-2 ** 62, 0, 2 ** 62])
-    assert M == RepMatrix(3, {(2, 0): 1}) and M.dropped == 2
-    M = action_matrix(Shift(top - low, low, top), [top, 0, low])
-    assert M == RepMatrix(3, {(0, 2): 1}) and M.dropped == 2
-    M = action_matrix(Shift(low - top, low, top), [top, 0, low])
-    assert M == RepMatrix(3, {(2, 0): 1}) and M.dropped == 2
+    # intervals at far offsets, shifted by int64-sized and larger steps, on
+    # domains that cover, cut or miss the window: each image is found or
+    # dropped exactly, and points outside the domain give no entry
+    for window in (range(2 ** 63 - 2, 2 ** 63 + 2), range(-2 ** 64, -2 ** 64 + 3)):
+        lo, hi = window[0], window[-1]
+        for d in (2 ** 63, 2 ** 64 - 1, 1 - 2 ** 64, 2 ** 70, -2 ** 70, -2, 0, 1):
+            for p, q in ((-2 ** 70, 2 ** 70), (lo + 1, hi), (lo, lo), (hi + 1, 2 ** 70),
+                         (lo - d, hi - d)):
+                domain = [(j, x) for j, x in enumerate(window) if p <= x <= q]
+                want = {(window.index(x + d), j): 1 for j, x in domain if x + d in window}
+                M = action_matrix(Shift(d, p, q), window)
+                assert M == RepMatrix(len(window), want)
+                assert M.dropped == len(domain) - len(want)
+                assert M == action_matrix(Shift(d, p, q), Truncation(None, window))
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +919,36 @@ def test_h_block_check_idempotents_of_closure():
     for h in H:
         report = h_block_check(h, H, B)
         assert report["ok"] and report["compression_ok"]
+
+
+def test_h_block_check_reports_a_leak_apart_from_the_compression():
+    # H = {a, a*} is no subsemigroup: a a* leaves it, which is a violation,
+    # while the entries that stay inside H still match Lambda_H(a)
+    S = five_element_closure()
+    B = full_basis(S)
+    a = next(e for e in S.nonzero_elements() if S.product(e, e) != e)
+    report = h_block_check(a, [a, S.star(a)], B)
+    assert report["violations"] and report["compression_ok"] and not report["ok"]
+
+
+def test_h_block_check_flags_a_compression_that_differs(monkeypatch):
+    # the context answers the H-basis as if h killed all of it: h h = h keeps
+    # the H-block of Lambda_S(h) nonzero, so only the compression is wrong
+    S = five_element_closure()
+    B = full_basis(S)
+    H = [e for e in idempotents(S) if not S.is_zero(e)]
+    honest = S.left_action
+
+    def left_action(elements):
+        if len(elements) == len(B):
+            return honest(elements)
+        return lambda a: np.full(len(elements), -2, dtype=np.int64)
+
+    monkeypatch.setattr(S, "left_action", left_action)
+    for h in H:
+        report = h_block_check(h, H, B)
+        assert not report["violations"] and not report["compression_ok"]
+        assert not report["ok"]
 
 
 def test_h_block_check_on_shift_bundle():
