@@ -97,6 +97,13 @@ class BRContext(SemigroupContext):
         m, a, n = p
         return (n, self.group.inv(a), m)
 
+    @staticmethod
+    def green_coordinates(p):
+        """BR is bisimple; (m, a, n) lies in the L-class of (n, 1, n), and
+        (m, a, n)(n, 1, n') = (m, a, n') keeps the place (m, a)."""
+        m, a, n = p
+        return 0, n, (m, a)
+
     def left_action(self, elements):
         """The left action in numpy: b = (i, c, j) lies in dom(m, x, n)
         exactly when i >= n, and then (m, x, n) b = (m - n + i,

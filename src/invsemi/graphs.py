@@ -218,6 +218,14 @@ class GraphContext(SemigroupContext):
     def is_zero(self, x) -> bool:
         return x is ZERO_PAIR
 
+    @staticmethod
+    def green_coordinates(p):
+        """(mu, nu) lies in the D-class of its source vertex and the L-class
+        of (nu, nu), and (mu, nu)(nu, nu') = (mu, nu') keeps the place mu;
+        each leg is read as its edges and range vertex."""
+        mu, nu, base, mu_head, nu_head = p
+        return base, (nu, nu_head), (mu, mu_head)
+
     def partners(self, elements):
         """(mu, nu)(alpha, beta) is nonzero only when alpha and nu are
         comparable: one is a prefix of the other, at the same range vertex.

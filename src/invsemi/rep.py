@@ -14,11 +14,17 @@ Eigensolves use the structure of these matrices: a matrix splits into the
 connected blocks of its entry graph (degree fibers, for a kernel element of a
 graded algebra), and each block goes to dense LAPACK when small or wide, or
 to banded LAPACK when its band is narrow (action matrices are tridiagonal).
-Blocks of equal content are solved once: lambda preserves L-classes (ab lies
-in the L-class of b), and the L-classes of one D-class carry unitarily
-equivalent blocks, so a window closed under that equivalence repeats one
-block per L-class (the Bruck-Reilly window of level M holds M + 1 copies).
-Every size takes the same path, and the result is deterministic.
+Blocks of equal content are solved once. For lambda the certificates go
+further and assemble only one L-class part per D-class: lambda maps each
+L-class to itself (ab lies in the L-class of b), and right translation
+between the L-classes of one D-class commutes with lambda (Green's lemma).
+A family that names its Green coordinates lets `l_class_parts` check that
+every part of a D-class translates into its largest one, keeping places and
+their order; the largest part's block then carries the window's extreme
+eigenvalues (a smaller part is a compression of it, inside by Cauchy
+interlacing), so the Bruck-Reilly window of level M is solved on one of its
+M + 1 equal parts. Every size takes the same path, and the result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -357,8 +363,10 @@ def _extreme_eigvals(M: RepMatrix, picks=(0, -1)):
 
     Blocks of equal content (size, local positions and float values, to the
     bit) are solved once, and every copy adds that solve's values: lambda
-    keeps L-classes apart, and the L-classes of one D-class carry unitarily
-    equivalent blocks. A lone block builds no key.
+    keeps L-classes apart (rho, R-classes), and the classes of one D-class
+    carry unitarily equivalent blocks, as on a window the certificates do
+    not cut to one part (rho on Bruck-Reilly, lambda on Toeplitz). A lone
+    block builds no key.
     """
     blocks, free = _blocks(M)
     found = [[0.0] * bool(free) for _ in picks]
@@ -386,6 +394,44 @@ def min_eig(M: RepMatrix) -> float:
     return _extreme_eigvals(M, picks=(0,))[0]
 
 
+def l_class_parts(B: Truncation) -> Truncation:
+    """One L-class part per D-class of B, in B's order, or B itself.
+
+    The context's `green_coordinates` split each element into its D-class,
+    its L-class and its place. In each D-class the largest part (the first
+    of equal ones) stands for all: every other part must list some of its
+    places in the same order. Right translation keeps places and commutes
+    with lambda, so it carries each part's block onto a principal submatrix
+    of the representative's, the same block when the parts are equal. A
+    context without the hook, or a part that fails the check, gives B.
+    """
+    split = getattr(B.context, "green_coordinates", None)
+    if split is None:
+        return B
+    classes = {}        # d_key -> l_key -> ([place, ...], [position, ...])
+    for i, (d, l, place) in enumerate(map(split, B.elements)):
+        parts = classes.setdefault(d, {})
+        part = parts.get(l)
+        if part is None:
+            part = parts[l] = ([], [])
+        part[0].append(place)
+        part[1].append(i)
+    keep = []
+    for parts in classes.values():
+        places, positions = max(parts.values(), key=lambda part: len(part[0]))
+        at = dict(zip(places, range(len(places))))
+        for other, _ in parts.values():
+            if other != places:
+                ks = list(map(at.get, other))
+                if None in ks or not all(map(operator.lt, ks, ks[1:])):
+                    return B
+        keep += positions
+    if len(keep) == len(B):
+        return B
+    keep.sort()
+    return Truncation(B.context, map(B.elements.__getitem__, keep))
+
+
 def norm_lower_bound(f, B, rep="lambda") -> float:
     """Largest singular value of the compressed matrix; never exceeds the
     true norm and is nondecreasing in the window.
@@ -393,7 +439,8 @@ def norm_lower_bound(f, B, rep="lambda") -> float:
     A Hermitian matrix gives max(-lambda_min, lambda_max) from the block
     solve of min_eig; any other gives sqrt(lambda_max) of its Gram matrix
     F* F, taken on the float copy F of M, whose band is at most the lower
-    plus the upper band of M.
+    plus the upper band of M. For lambda, M is the matrix on one L-class
+    part per D-class, which has the window's largest singular value.
     """
     M = _build(f, B, rep)
     if M.n == 0:
@@ -408,8 +455,11 @@ def norm_lower_bound(f, B, rep="lambda") -> float:
 
 
 def _build(f, B, rep) -> RepMatrix:
+    """The matrix the certificates solve: for lambda, on `l_class_parts(B)`.
+    A part is Hermitian exactly when the window is, since any pair of
+    positions in a smaller part is a pair in its representative."""
     if rep == "lambda":
-        return lambda_matrix(f, B)
+        return lambda_matrix(f, l_class_parts(B))
     if rep == "rho":
         return rho_matrix(f, B)
     if rep == "action":
@@ -419,21 +469,29 @@ def _build(f, B, rep) -> RepMatrix:
 
 def psd_refute(f, B, rep="lambda", tol=None) -> dict:
     """Certificate that f is not positive, when the compressed spectrum dips
-    below -tol. Sound because compressions of positive operators stay PSD."""
+    below -tol. Sound because compressions of positive operators stay PSD.
+    For lambda the spectrum is taken on one L-class part per D-class; the
+    basis size and the default tol read the whole window."""
     M = _build(f, B, rep)
     if tol is None:
-        tol = 1e-9 * max(M.n, 1)
+        tol = 1e-9 * max(len(B), 1)
     elif not math.isfinite(tol):
         raise InputError(f"tolerance {tol} is not finite")
     elif tol < 0:
         raise InputError(f"tolerance {tol} is negative; it must be >= 0")
-    value = min_eig(M)
+    try:
+        value = min_eig(M)
+    except NotHermitian:
+        if M.n == len(B):
+            raise
+        # the window's own scan names the position
+        value = min_eig(lambda_matrix(f, B))
     return {
         "claim": "f is positive",
         "rep": rep,
         "value": value,
         "tolerance": tol,
-        "basis_size": M.n,
+        "basis_size": len(B),
         "refuted": value < -tol,
     }
 

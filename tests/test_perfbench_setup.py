@@ -55,3 +55,18 @@ def test_setup_exits_zero_under_two_hash_seeds():
     for seed, proc in zip(("0", "1"), procs):
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, f"PYTHONHASHSEED={seed}: {err.decode()}"
+
+
+def test_exact_setup_leaves_scipy_unloaded(tmp_path):
+    """scipy is imported only by the solver that needs it: the library, its
+    command line and the exact workload's set-up load none of it."""
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+            "import invsemi, invsemi.cli, run\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            f"run.setup('exact', 9001, {str(tmp_path)!r})\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH.parent, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -385,3 +386,25 @@ def per_block_extreme_eigvals(M, picks=(0, -1)):
         for bucket, value in zip(found, rep._block_eigvals(*block, picks=picks)):
             bucket.append(value)
     return [min(b) if p == 0 else max(b) for p, b in zip(picks, found)]
+
+
+# -- spectral certificates on the whole window -------------------------------
+
+def window_min_eig(f, B):
+    """`rep.psd_refute`'s value on the whole window's lambda matrix, scanned
+    for symmetry and solved in full; NotHermitian names its first
+    asymmetric position."""
+    return rep.min_eig(rep.lambda_matrix(f, B))
+
+
+def window_norm(f, B):
+    """`rep.norm_lower_bound` on the whole window's lambda matrix: its block
+    solve when the matrix is Hermitian, else the top of its Gram matrix."""
+    M = rep.lambda_matrix(f, B)
+    if not len(M.vids):
+        return 0.0
+    if M.is_hermitian():
+        lo, hi = rep._extreme_eigvals(M)
+        return max(-lo, hi)
+    F = RepMatrix._from_coo(M.n, M.rows, M.cols, M.vids, [to_complex(c) for c in M.values])
+    return math.sqrt(max(rep._extreme_eigvals(F.adjoint() * F, picks=(-1,))[0], 0.0))
