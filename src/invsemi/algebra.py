@@ -53,7 +53,7 @@ class AlgebraElement:
                 c = as_scalar(coeff)
                 if elem in clean:
                     c = clean[elem] + c
-                if c == 0:
+                if not c:
                     clean.pop(elem, None)
                 else:
                     clean[elem] = c

@@ -1,161 +1,233 @@
 """Exact complex scalars with rational real and imaginary parts.
 
-QQi is the exact mode used for every identity assertion. Mixing a QQi with a
-python complex falls through to float mode, so truncation numerics embed the
-exact values without a separate conversion layer.
+QQi is the exact mode used for every identity assertion. A QQi is three
+Python ints (x, y, d), the value (x + y*i)/d with d > 0 and gcd(x, y, d) = 1,
+so an operation is integer arithmetic and at most one gcd; `.re` and `.im`
+are `Fraction`s built on access. Mixing a QQi with a python complex falls
+through to float mode, so truncation numerics embed the exact values without
+a separate conversion layer.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
+import sys
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .errors import InputError
 
+# the largest |e| a scalar string such as "1e-300" may carry: Python's default
+# limit on int-string digits, which does not cover exponents, so that
+# Fraction("1e1000000") would build a 3.3M-bit integer; not configurable
+MAX_DECIMAL_EXPONENT = 4300
+
+_HASH_MODULUS = sys.hash_info.modulus
+
 
 def _as_fraction(x):
+    if isinstance(x, bool):
+        raise TypeError("bool is not a scalar")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if abs(_exponent(x)) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"a decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def frac_sqrt(q: Fraction):
-    """Exact nonnegative square root of a Fraction, or None."""
-    if q < 0:
-        return None
-    pn, qd = q.numerator, q.denominator
-    rn, rd = math.isqrt(pn), math.isqrt(qd)
-    if rn * rn == pn and rd * rd == qd:
-        return Fraction(rn, rd)
+def _exponent(text):
+    """The int after the last e or E of a numeric string, else 0."""
+    cut = max(text.rfind("e"), text.rfind("E"))
+    try:
+        return int(text[cut + 1:]) if cut >= 0 else 0
+    except ValueError:
+        return 0    # no exponent that Fraction would accept either
+
+
+def _exact_isqrt(n):
+    """The integer square root of an int n >= 0, or None if n is no square."""
+    r = isqrt(n)
+    return r if r * r == n else None
+
+
+def _make(x, y, d):
+    """The QQi (x + y*i)/d for ints with d > 0, reduced by one gcd."""
+    g = gcd(x, y, d)
+    if g != 1:
+        x //= g
+        y //= g
+        d //= g
+    return _raw(x, y, d)
+
+
+def _raw(x, y, d):
+    """The QQi of a triple that is already canonical."""
+    q = object.__new__(QQi)
+    q._x = x
+    q._y = y
+    q._d = d
+    return q
+
+
+def _triple(other):
+    """(x, y, d) of an exact operand, or None."""
+    if isinstance(other, QQi):
+        return other._x, other._y, other._d
+    if isinstance(other, int):
+        return other, 0, 1
+    if isinstance(other, Fraction):
+        return other.numerator, 0, other.denominator
     return None
 
 
 class QQi:
-    """Complex number a + b*i with a, b exact rationals."""
+    """Complex number (x + y*i)/d over Python ints, d > 0, gcd(x, y, d) = 1.
 
-    __slots__ = ("re", "im")
+    The triple is private; `re` and `im` are read-only `Fraction`s.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+    __slots__ = ("_x", "_y", "_d")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QQi is immutable")
+    def __new__(cls, re=0, im=0):
+        a, b = _as_fraction(re), _as_fraction(im)
+        return _make(a.numerator * b.denominator, b.numerator * a.denominator,
+                     a.denominator * b.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._y, self._d)
 
     def __repr__(self):
         return f"QQi({self.re!s}, {self.im!s})"
 
     def __str__(self):
-        if self.im == 0:
+        if not self._y:
             return str(self.re)
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
+        return f"{self.re}{'+' if self._y > 0 else ''}{self.im}i"
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, QQi):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QQi(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             if isinstance(other, (float, complex)):
                 return self.to_complex() + other
             return NotImplemented
-        return QQi(self.re + o.re, self.im + o.im)
+        x, y, d = o
+        D = self._d
+        return _make(self._x * d + x * D, self._y * d + y * D, D * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _raw(-self._x, -self._y, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             if isinstance(other, (float, complex)):
                 return self.to_complex() - other
             return NotImplemented
-        return QQi(self.re - o.re, self.im - o.im)
+        x, y, d = o
+        return self + _raw(-x, -y, d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             if isinstance(other, (float, complex)):
                 return self.to_complex() * other
             return NotImplemented
-        return QQi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        x, y, d = o
+        a, b = self._x, self._y
+        return _make(a * x - b * y, a * y + b * x, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             if isinstance(other, (float, complex)):
                 return self.to_complex() / other
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        x, y, d = o
+        n = x * x + y * y
+        if not n:
             raise ZeroDivisionError("division by zero QQi")
-        return QQi((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
+        a, b = self._x, self._y
+        return _make((a * x + b * y) * d, (b * x - a * y) * d, self._d * n)
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
+        return _raw(self._x, -self._y, self._d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
 
     # -- predicates and conversions -----------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, QQi):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self._x == other._x and self._y == other._y and self._d == other._d
+        if isinstance(other, int):
+            return not self._y and self._d == 1 and self._x == other
+        if isinstance(other, Fraction):
+            return (not self._y and self._d == other.denominator
+                    and self._x == other.numerator)
         if isinstance(other, (float, complex)):
             return self.to_complex() == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        x, y, d = self._x, self._y, self._d
+        if y:
+            return hash((x, y, d))
+        if d == 1:
+            return hash(x)
+        # hash(Fraction(x, d)) by the numeric hash rule, without the Fraction
+        try:
+            h = hash(hash(abs(x)) * pow(d, -1, _HASH_MODULUS))
+        except ValueError:
+            h = sys.hash_info.inf
+        h = h if x >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._x != 0 or self._y != 0
 
     def to_complex(self) -> complex:
         try:
-            return complex(float(self.re), float(self.im))
+            return complex(self._x / self._d, self._y / self._d)
         except OverflowError:
             raise InputError("an exact coefficient is out of the float range") from None
 
     def sqrt_exact(self):
-        """Principal square root if it lies in Q(i), else None."""
-        a, b = self.re, self.im
-        if b == 0:
-            if a >= 0:
-                r = frac_sqrt(a)
-                return None if r is None else QQi(r, 0)
-            r = frac_sqrt(-a)
-            return None if r is None else QQi(0, r)
-        m = frac_sqrt(a * a + b * b)
-        if m is None:
+        """Principal square root if it lies in Q(i), else None.
+
+        The root of (x + y*i)/d is w/d for w the root of the Gaussian
+        integer (x + y*i)*d, which lies in Z[i] if it lies in Q(i).
+        """
+        d = self._d
+        a, b = self._x * d, self._y * d
+        m = _exact_isqrt(a * a + b * b)
+        if m is None or (m + a) % 2:
             return None
-        c = frac_sqrt((m + a) / 2)
-        if c is None or c == 0:
+        p = _exact_isqrt((m + a) // 2)
+        if p is None:
             return None
-        return QQi(c, b / (2 * c))
+        if p:
+            return _make(p, b // (2 * p), d)
+        q = _exact_isqrt(m)  # the value is -m/d^2
+        return None if q is None else _make(0, q, d)
 
 
 def is_exact(x) -> bool:
@@ -167,14 +239,12 @@ def as_scalar(x):
     try:
         if isinstance(x, QQi) or type(x) is complex:
             return x
-        if isinstance(x, bool):
-            raise TypeError("bool is not a scalar")
         if isinstance(x, (int, Fraction, str)):
-            return QQi(_as_fraction(x))
+            return QQi(x)
         if isinstance(x, float):
             return complex(x, 0.0)
         if isinstance(x, tuple) and len(x) == 2:
-            return QQi(_as_fraction(x[0]), _as_fraction(x[1]))
+            return QQi(x[0], x[1])
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad scalar {x!r}: {exc}") from None
     raise InputError(f"not a scalar: {x!r}")
@@ -221,6 +291,6 @@ def scalar_from_json(d):
             if not cmath.isfinite(z):
                 raise ValueError("a float scalar must be finite")
             return z
-        return QQi(_as_fraction(d["re"]), _as_fraction(d.get("im", 0)))
+        return QQi(d["re"], d.get("im", 0))
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad scalar {d!r}: {exc}") from None

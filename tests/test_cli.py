@@ -446,6 +446,16 @@ def test_unparseable_scalar_is_input_error(capsys, tmp_path):
     assert "bad scalar" in err
 
 
+
+@pytest.mark.parametrize("scalar", [{"re": True}, {"re": "1", "im": False},
+                                    {"re": "1e4301"}, {"re": "1", "im": "1e-4301"}])
+def test_boolean_or_huge_exponent_scalar_is_input_error(capsys, tmp_path, scalar):
+    doc = dict(BR_Z2_ID, element={"terms": [[[1, 0, 0], scalar]]})
+    code, out, err = run(capsys, ["epsilon"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "bad scalar" in err
+
 def test_missing_input(capsys):
     code, _, err = run(capsys, ["idempotents"])
     assert code == 2

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from invsemi import rep
 from invsemi.core import PartialBijection
+from invsemi.errors import InputError
 from invsemi.families import Shift
 from invsemi.graphs import enumerate_pairs, graph_grading
 from invsemi.rep import RepMatrix
@@ -124,6 +125,153 @@ def rand_square_qqi(rng: random.Random, span=5) -> QQi:
     """A nonzero perfect square in Q(i), so its principal root is exact."""
     mu = rand_qqi_nonzero(rng, span)
     return mu * mu
+
+
+# -- the Fraction-pair scalar, an oracle for QQi ------------------------------
+
+def _oracle_fraction(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+def frac_sqrt(q: Fraction):
+    """Exact nonnegative square root of a Fraction, or None."""
+    if q < 0:
+        return None
+    pn, qd = q.numerator, q.denominator
+    rn, rd = math.isqrt(pn), math.isqrt(qd)
+    if rn * rn == pn and rd * rd == qd:
+        return Fraction(rn, rd)
+    return None
+
+
+class FractionQQi:
+    """The Fraction-pair QQi that the integer one replaced: a + b*i with a, b
+    Fractions, kept as the oracle that tests/test_scalars.py compares with."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", _oracle_fraction(re))
+        object.__setattr__(self, "im", _oracle_fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QQi is immutable")
+
+    def __repr__(self):
+        return f"QQi({self.re!s}, {self.im!s})"
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, FractionQQi):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionQQi(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, (float, complex)):
+                return self.to_complex() + other
+            return NotImplemented
+        return FractionQQi(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQQi(-self.re, -self.im)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, (float, complex)):
+                return self.to_complex() - other
+            return NotImplemented
+        return FractionQQi(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, (float, complex)):
+                return self.to_complex() * other
+            return NotImplemented
+        return FractionQQi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, (float, complex)):
+                return self.to_complex() / other
+            return NotImplemented
+        d = o.re * o.re + o.im * o.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero QQi")
+        return FractionQQi((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
+
+    def conjugate(self):
+        return FractionQQi(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    # -- predicates and conversions -----------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, FractionQQi):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        if isinstance(other, (float, complex)):
+            return self.to_complex() == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def to_complex(self) -> complex:
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise InputError("an exact coefficient is out of the float range") from None
+
+    def sqrt_exact(self):
+        """Principal square root if it lies in Q(i), else None."""
+        a, b = self.re, self.im
+        if b == 0:
+            if a >= 0:
+                r = frac_sqrt(a)
+                return None if r is None else FractionQQi(r, 0)
+            r = frac_sqrt(-a)
+            return None if r is None else FractionQQi(0, r)
+        m = frac_sqrt(a * a + b * b)
+        if m is None:
+            return None
+        c = frac_sqrt((m + a) / 2)
+        if c is None or c == 0:
+            return None
+        return FractionQQi(c, b / (2 * c))
 
 
 # -- graded scans as plain double loops over every pair ----------------------
