@@ -25,7 +25,7 @@ generating set, and the group image unions each s with e*s.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import (
@@ -120,18 +120,22 @@ class SemigroupContext:
         return [identity, *(d for d in grading.fibers(basis) if d != identity)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grading:
     """Degree map from the nonzero part of a context into a group, which is
     a GroupTable or an algebra.GroupOps.
 
     The map must send nonzero products multiplicatively; the semigroup zero
     plays the adjoined zero of the group and is never graded.
+
+    Frozen, so that the last graded scan it keeps (see algebra._graded_scan)
+    stays the scan of these three fields; `degree` must be a pure function.
     """
 
     context: SemigroupContext
     group: object
     degree: Callable
+    _last_scan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def kernel_member(self, x) -> bool:
         return self.degree(x) == self.group.identity

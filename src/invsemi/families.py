@@ -87,11 +87,12 @@ class BRContext(SemigroupContext):
         return (m, a, n)
 
     def product(self, p, q):
+        # t = max(n, i) leaves one of the two twists at theta^0
         m, a, n = p
         i, b, j = q
-        t = max(n, i)
-        g = self.group.mul(self.theta_pow(t - n, a), self.theta_pow(t - i, b))
-        return (m - n + t, g, j - i + t)
+        if n >= i:
+            return (m, self.group.mul(a, self.theta_pow(n - i, b)), j - i + n)
+        return (m - n + i, self.group.mul(self.theta_pow(i - n, a), b), j)
 
     def star(self, p):
         m, a, n = p

@@ -229,11 +229,6 @@ class RepMatrix:
     def max_abs(self) -> float:
         return float(np.abs(self._floats()).max(initial=0.0))
 
-    def to_dense(self) -> np.ndarray:
-        M = np.zeros((self.n, self.n), dtype=complex)
-        M[self.rows, self.cols] = self._floats()
-        return M
-
     def __repr__(self):
         return f"RepMatrix({self.n}x{self.n}, {len(self.vids)} entries, {self.dropped} dropped)"
 

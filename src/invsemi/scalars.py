@@ -19,8 +19,13 @@ from .errors import InputError
 
 # the largest |e| a scalar string such as "1e-300" may carry: Python's default
 # limit on int-string digits, which does not cover exponents, so that
-# Fraction("1e1000000") would build a 3.3M-bit integer; not configurable
+# Fraction("1e1000000") would build a 3.3M-bit integer; not configurable.
+# The numerator and denominator a string parses to may have at most this many
+# digits too, so that every parsed scalar prints.
 MAX_DECIMAL_EXPONENT = 4300
+# (10 ** MAX_DECIMAL_EXPONENT).bit_length(): an int with fewer bits has at
+# most MAX_DECIMAL_EXPONENT digits, one with more bits has more
+_LIMIT_BITS = 14285
 
 _HASH_MODULUS = sys.hash_info.modulus
 
@@ -35,8 +40,20 @@ def _as_fraction(x):
     if isinstance(x, str):
         if abs(_exponent(x)) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"a decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
-        return Fraction(x)
+        q = Fraction(x)
+        if _too_long(q.numerator) or _too_long(q.denominator):
+            raise ValueError(f"more than {MAX_DECIMAL_EXPONENT} digits")
+        return q
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _too_long(n):
+    """Whether the int n has more than MAX_DECIMAL_EXPONENT decimal digits,
+    told from its bit length; only at the one bit length that 10 **
+    MAX_DECIMAL_EXPONENT shares with shorter ints is the value compared."""
+    n = abs(n)
+    bits = n.bit_length()
+    return bits > _LIMIT_BITS or (bits == _LIMIT_BITS and n >= 10 ** MAX_DECIMAL_EXPONENT)
 
 
 def _exponent(text):
@@ -169,9 +186,6 @@ class QQi:
 
     def conjugate(self):
         return _raw(self._x, -self._y, self._d)
-
-    def abs2(self) -> Fraction:
-        return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
 
     # -- predicates and conversions -----------------------------------------
 

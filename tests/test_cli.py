@@ -456,6 +456,23 @@ def test_boolean_or_huge_exponent_scalar_is_input_error(capsys, tmp_path, scalar
     assert out == ""
     assert "bad scalar" in err
 
+
+@pytest.mark.parametrize("text", ["1e4300", "-1e-4300"])
+def test_scalar_past_the_print_limit_is_input_error(capsys, tmp_path, text):
+    doc = dict(BR_Z2_ID, element={"terms": [[[1, 0, 0], {"re": text}]]})
+    code, out, err = run(capsys, ["epsilon"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "bad scalar" in err and "Traceback" not in err
+
+
+def test_scalar_at_the_print_limit_is_accepted(capsys, tmp_path):
+    doc = dict(BR_Z2_ID, element={"terms": [[[1, 0, 1], {"re": "9e4299"}]]})
+    code, out, _ = run(capsys, ["epsilon"], doc, tmp_path)
+    assert code == 0
+    assert json.loads(out)["restricted"]["terms"][0][1]["re"] == str(9 * 10 ** 4299)
+
+
 def test_missing_input(capsys):
     code, _, err = run(capsys, ["idempotents"])
     assert code == 2

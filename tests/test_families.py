@@ -85,6 +85,21 @@ def test_br_theta_powers_reduce_into_their_cycle():
             assert ctx.theta_pow(k, a) == _theta_naive(ctx, 2 + k % 2, a)
 
 
+def test_br_product_twists_one_side_only():
+    """With t = max(n, i) one exponent of the two-power formula is 0, so the
+    product applies theta^|n - i| to one side and must agree with
+    (m - n + t, theta^(t-n)(a) theta^(t-i)(b), j - i + t)."""
+    z12 = GroupTable([[(i + j) % 12 for j in range(12)] for i in range(12)])
+    for ctx in (*br_z2_contexts(), BRContext(z12, [2 * x % 12 for x in range(12)])):
+        window = br_window(ctx, 3)
+        for m, a, n in window:
+            for i, b, j in window:
+                t = max(n, i)
+                want = (m - n + t, ctx.group.mul(_theta_naive(ctx, t - n, a),
+                                                 _theta_naive(ctx, t - i, b)), j - i + t)
+                assert ctx.product((m, a, n), (i, b, j)) == want
+
+
 def test_br_products_and_stars_at_index_two_to_the_seventy():
     K = 2 ** 70
     for ctx in br_z2_contexts():

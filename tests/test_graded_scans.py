@@ -11,6 +11,10 @@ once; `grading_phi` must equal the free reduction of mu nu^-1; `word_mul`,
 which cancels only at the junction of two reduced words, must equal the free
 reduction of u v. Pairs are stored flat: rebuilding one from its legs gives
 it back, and products and stars must follow the junction rule on Path legs.
+The two reports share the last scan of a grading: the second report on an
+equal list multiplies nothing, a changed list scans again, what a report
+returns cannot change the scan, and on a lying grading either order of the
+reports gives the violations of a fresh grading.
 Examples are derandomized so every run checks the same cases.
 """
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invsemi.algebra import INTEGERS, Grading, bundle_fibers, check_grading
+from invsemi.algebra import FREE_GROUP, INTEGERS, Grading, bundle_fibers, check_grading
 from invsemi.families import br_grading, br_window, br_z2_contexts
 from invsemi.graphs import (ZERO_PAIR, DirectedGraph, GraphContext, PathPair,
                             enumerate_pairs, grading_phi, graph_grading, multiply_pairs,
@@ -106,6 +110,85 @@ def test_graded_scans_catch_a_lie_about_a_shared_product(drawn, data):
                    data.draw(st.sampled_from(g.edge_ids)))
     assert not check_grading(lying, pairs)["ok"]
     _assert_scans_match_pairwise(lying, pairs)
+
+
+class CountingGraphContext(GraphContext):
+    """A graph context that counts the products it evaluates."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.products = 0
+
+    def product(self, a, b):
+        self.products += 1
+        return multiply_pairs(a, b)
+
+
+def _two_loop_bouquet():
+    return DirectedGraph(["v"], [(0, "v", "v"), (1, "v", "v")])
+
+
+def _reports(grading, listed):
+    """Both reports, with the fibers as a list of items so order counts."""
+    fibers, report = bundle_fibers(listed, grading)
+    return check_grading(grading, listed), list(fibers.items()), report
+
+
+def test_one_scan_serves_both_reports():
+    g = _two_loop_bouquet()
+    ctx = CountingGraphContext(g)
+    grading = Grading(ctx, FREE_GROUP, grading_phi)
+    pairs = enumerate_pairs(g, 2) + [ZERO_PAIR]
+    want = _reports(graph_grading(g), pairs)
+    assert check_grading(grading, pairs) == want[0]
+    scanned = ctx.products
+    # an equal list, even one built anew or handed over as an iterator,
+    # reads the same scan: check_grading's own idempotent test multiplies
+    # each element by itself, and nothing else is multiplied
+    fibers, report = bundle_fibers(list(pairs), grading)
+    assert ctx.products == scanned
+    assert (list(fibers.items()), report) == want[1:]
+    assert check_grading(grading, iter(pairs)) == want[0]
+    assert ctx.products == scanned + len(pairs) - 1
+    # a changed list, of another length or the same one, scans again
+    for changed in (pairs[1:] + pairs[:1], pairs[:-2]):
+        before = ctx.products
+        assert _reports(grading, changed) == _reports(graph_grading(g), changed)
+        assert ctx.products > before + len(changed)
+
+
+def test_returned_fibers_do_not_reach_the_scan():
+    g = _two_loop_bouquet()
+    grading = graph_grading(g)
+    pairs = enumerate_pairs(g, 2)
+    want = _reports(graph_grading(g), pairs)
+    fibers, _ = bundle_fibers(pairs, grading)
+    for members in fibers.values():
+        members.append(pairs[0])
+        members.reverse()
+    fibers[("not", "a", "degree")] = list(pairs)
+    assert _reports(grading, pairs) == want
+
+
+@settings(max_examples=15)
+@given(truncated_graphs(), st.data())
+def test_either_report_order_gives_a_fresh_scans_violations(drawn, data):
+    g, _, pairs = drawn
+    honest = graph_grading(g)
+    culprit = data.draw(st.sampled_from(pairs))
+    edge = data.draw(st.sampled_from(g.edge_ids))
+    listed = pairs + [ZERO_PAIR]
+    check_first = _lying(honest, culprit, edge)
+    bundle_first = _lying(honest, culprit, edge)
+    checked = check_grading(check_first, listed)
+    bundled = bundle_fibers(listed, bundle_first)
+    want_check = check_grading(_lying(honest, culprit, edge), listed)
+    want_fibers, want_bundle = bundle_fibers(listed, _lying(honest, culprit, edge))
+    assert checked == check_grading(bundle_first, listed) == want_check
+    assert want_check == pairwise_check_grading(_lying(honest, culprit, edge), listed)
+    for fibers, report in (bundled, bundle_fibers(listed, check_first)):
+        assert report == want_bundle
+        assert list(fibers.items()) == list(want_fibers.items())
 
 
 @settings(max_examples=15)

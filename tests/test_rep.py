@@ -29,7 +29,7 @@ from invsemi.rep import (RepMatrix, Truncation, action_matrix,
 import invsemi.rep as rep_module
 from invsemi.scalars import QQi, is_exact, to_complex
 from util import (as_pb, dict_gram, dict_product, interval_shifts, per_block_extreme_eigvals,
-                  per_column_rep_identity_check, rand_qqi)
+                  per_column_rep_identity_check, rand_qqi, to_dense)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +87,8 @@ def test_repmatrix_algebra_matches_numpy():
     for _ in range(10):
         A = RepMatrix(4, [((rng.randrange(4), rng.randrange(4)), rand_qqi(rng)) for _ in range(6)])
         B = RepMatrix(4, [((rng.randrange(4), rng.randrange(4)), rand_qqi(rng)) for _ in range(6)])
-        assert np.allclose((A * B).to_dense(), A.to_dense() @ B.to_dense())
-        assert np.allclose(A.adjoint().to_dense(), A.to_dense().conj().T)
+        assert np.allclose(to_dense(A * B), to_dense(A) @ to_dense(B))
+        assert np.allclose(to_dense(A.adjoint()), to_dense(A).conj().T)
         assert (A * B).is_exact()
 
 
@@ -262,7 +262,7 @@ def test_action_matrix_of_restriction_is_tridiagonal():
     sb = example62(4)
     M = action_matrix(sb.epsilon_xx_star(), sb.action_points)
     m = len(sb.action_points)
-    assert np.allclose(M.to_dense(), tridiag_dense(m))
+    assert np.allclose(to_dense(M), tridiag_dense(m))
     assert M.is_exact() and M.entries[(0, 0)] == QQi(1)
     assert M.dropped == 1  # the +1 shift walks off the window top
 
@@ -328,7 +328,7 @@ def test_norm_lower_bound_large_window_matches_svd():
     sb = example62(2100)
     B = Truncation(None, sb.action_points)
     val = norm_lower_bound(sb.x, B, rep="action")
-    dense = action_matrix(sb.x, sb.action_points).to_dense()
+    dense = to_dense(action_matrix(sb.x, sb.action_points))
     assert not dense.imag.any()   # a real SVD takes 2 s here, a complex one 5 s
     assert abs(val - np.linalg.svd(dense.real, compute_uv=False)[0]) < 1e-9
     # ||1 - shift|| on m points is 2cos(pi/(2m + 1))
@@ -357,7 +357,7 @@ def banded_hermitian(rng, n, band):
 
 
 def assert_spectrum_matches(M):
-    vals = np.linalg.eigvalsh(M.to_dense())
+    vals = np.linalg.eigvalsh(to_dense(M))
     assert abs(min_eig(M) - vals[0]) < 1e-9
     assert abs(rep_module._extreme_eigvals(M, picks=(-1,))[0] - vals[-1]) < 1e-9
 
@@ -403,7 +403,7 @@ def test_block_solver_splits_br_square_into_degree_blocks(monkeypatch):
         assert calls == [2 * (level + 1)]
         if level == 9:
             assert_spectrum_matches(M)
-            vals = np.linalg.eigvalsh(M.to_dense())
+            vals = np.linalg.eigvalsh(to_dense(M))
             assert abs(norm_lower_bound(ff, B) - max(-vals[0], vals[-1])) < 1e-9
     assert psd_refute(ff, B)["value"] == value == per_block_extreme_eigvals(M, (0,))[0]
 
@@ -466,7 +466,7 @@ def check_gram_path(banded_calls, distinct, solves):
     assert not M.is_hermitian()
     assert len(rep_module._blocks(M)[0]) == 2
     val = norm_lower_bound(f, B, rep="action")
-    assert abs(val - np.linalg.svd(M.to_dense(), compute_uv=False)[0]) < 1e-9
+    assert abs(val - np.linalg.svd(to_dense(M), compute_uv=False)[0]) < 1e-9
     # bands 2 below and 1 above give a Gram band of 3; one solve per
     # distinct block
     assert banded_calls == [((4, 350), np.complex128)] * solves
@@ -556,15 +556,13 @@ def entry_lists(draw):
 
 
 def dict_oracle(entries):
-    """Entries added one by one: repeats sum, a zero sum removes the entry."""
+    """Entries added one by one: repeats sum in insertion order, and a zero
+    total removes the entry. A float anywhere in a sum makes it complex, even
+    where the partial sum before it was zero."""
     d = {}
     for key, c in entries:
-        c = d[key] + c if key in d else c
-        if c == 0:
-            d.pop(key, None)
-        else:
-            d[key] = c
-    return d
+        d[key] = d[key] + c if key in d else c
+    return {key: c for key, c in d.items() if c != 0}
 
 
 def asymmetric_positions(d, tol):
@@ -617,7 +615,7 @@ def test_repmatrix_storage_matches_dict_oracle(case):
     dense = np.zeros((n, n), dtype=complex)
     for (i, j), c in d.items():
         dense[i, j] = to_complex(c)
-    assert np.array_equal(M.to_dense(), dense)
+    assert np.array_equal(to_dense(M), dense)
     for tol in (0.0, 1e-10, 0.5):
         bad = asymmetric_positions(d, tol)
         assert M.is_hermitian(tol) == (not bad)

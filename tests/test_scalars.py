@@ -12,6 +12,7 @@ from invsemi.errors import InputError
 from invsemi.scalars import (
     MAX_DECIMAL_EXPONENT,
     QQi,
+    _LIMIT_BITS,
     as_scalar,
     conj,
     is_exact,
@@ -20,7 +21,7 @@ from invsemi.scalars import (
     scalar_to_json,
     to_complex,
 )
-from util import FractionQQi, rand_qqi, rand_qqi_nonzero, rand_square_qqi
+from util import FractionQQi, abs2, rand_qqi, rand_qqi_nonzero, rand_square_qqi
 
 
 def test_qqi_arithmetic_matches_complex():
@@ -34,7 +35,7 @@ def test_qqi_arithmetic_matches_complex():
         if b != 0:
             assert cmath.isclose(to_complex(a / b), za / zb, abs_tol=1e-9)
         assert to_complex(a.conjugate()) == za.conjugate()
-        assert cmath.isclose(to_complex(a.abs2()), abs(za) ** 2, abs_tol=1e-9)
+        assert cmath.isclose(to_complex(abs2(a)), abs(za) ** 2, abs_tol=1e-9)
 
 
 def test_qqi_equality_and_mixing():
@@ -125,8 +126,25 @@ def test_decimal_exponent_is_capped():
             as_scalar(text)
         with pytest.raises(InputError, match="bad scalar"):
             scalar_from_json({"re": "0", "im": text})
-    assert as_scalar("1e4300") == QQi(10 ** 4300)
-    assert scalar_from_json({"re": "1e-4300"}) == QQi(Fraction(1, 10 ** 4300))
+    # an exponent of 4300 passes this cap, and the digit cap below decides
+    assert as_scalar("9e4299") == QQi(9 * 10 ** 4299)
+    assert scalar_from_json({"re": "1e-4299"}) == QQi(Fraction(1, 10 ** 4299))
+
+
+def test_parsed_digits_are_capped():
+    """A string whose numerator or denominator would pass 4300 digits is a
+    bad scalar, so every parsed scalar prints; the cap reads bit lengths."""
+    assert (10 ** MAX_DECIMAL_EXPONENT).bit_length() == _LIMIT_BITS
+    for text in ("1e4300", "-1e4300", "1e-4300", "0.5e-4300", "1.5e4300", "1/1e4300"):
+        with pytest.raises(InputError, match="bad scalar"):
+            as_scalar(text)
+        with pytest.raises(InputError, match="bad scalar"):
+            scalar_from_json({"re": "0", "im": text})
+    # 10**4300 - 1 shares its bit length with 10**4300; 2**14284 has one bit less
+    for n in (10 ** 4300 - 1, -(10 ** 4300 - 1), 2 ** (_LIMIT_BITS - 1)):
+        text = str(n)
+        assert as_scalar(text) == QQi(n) and as_scalar(f"1/{abs(n)}") == QQi(Fraction(1, abs(n)))
+        assert scalar_to_json(as_scalar(text)) == {"re": text, "im": "0"}
 
 
 # -- the integer QQi against the Fraction-pair oracle -------------------------
@@ -207,7 +225,7 @@ def test_qqi_matches_the_fraction_pair_oracle(a, b, c):
             assert_same_outcome(outcome(lambda: op(other, x)), outcome(lambda: op(other, ox)))
     assert_agrees(-x, -ox)
     assert_agrees(x.conjugate(), ox.conjugate())
-    assert x.abs2() == ox.abs2() and type(x.abs2()) is Fraction
+    assert abs2(x) == ox.abs2() and type(abs2(x)) is Fraction
     for q, o in ((x, ox), (x * x, ox * ox), (x * y, ox * oy)):
         root, want = q.sqrt_exact(), o.sqrt_exact()
         assert (root is None) == (want is None)

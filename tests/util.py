@@ -6,6 +6,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from invsemi import rep
 from invsemi.core import PartialBijection
 from invsemi.errors import InputError
@@ -125,6 +127,20 @@ def rand_square_qqi(rng: random.Random, span=5) -> QQi:
     """A nonzero perfect square in Q(i), so its principal root is exact."""
     mu = rand_qqi_nonzero(rng, span)
     return mu * mu
+
+
+# -- views of scalars and matrices that only the tests read ------------------
+
+def abs2(q: QQi) -> Fraction:
+    """|q|^2 of an exact scalar, read off q times its conjugate."""
+    return (q * q.conjugate()).re
+
+
+def to_dense(M: RepMatrix) -> np.ndarray:
+    """M as a dense complex array, each entry converted by to_complex."""
+    D = np.zeros((M.n, M.n), dtype=complex)
+    D[M.rows, M.cols] = [to_complex(M.values[v]) for v in M.vids.tolist()]
+    return D
 
 
 # -- the Fraction-pair scalar, an oracle for QQi ------------------------------
