@@ -80,6 +80,9 @@ PAYLOADS = [
     ("psd", "bouquet1", "lambda", {"element": _terms(
         [V, "2"], [S0, "-1"], [{"mu": [], "nu": [0], "vertex": "v"}, "-1"])}),
     ("norm-bound", "bouquet1", "lambda", {"element": _terms([V, "1"], [S0, "-1"])}),
+    ("psd", "bouquet1", "rho", {"rep": "rho", "element": _terms(
+        [V, "2"], [S0, "-1"], [{"mu": [], "nu": [0], "vertex": "v"}, "-1"])}),
+    ("norm-bound", "bouquet1", "rho", {"rep": "rho", "element": _terms([V, "1"], [S0, "-1"])}),
     ("factorize", "bouquet1", "one_loop", {"s": [[0, 1]], "t": [], "element": _terms(
         [{"mu": [0], "nu": [], "vertex": "v"}, "4"], [S00_0, "1/9"])}),
     # Bruck-Reilly: [m, a, n] triples, integer degrees, the canonical coset rep
@@ -94,6 +97,8 @@ PAYLOADS = [
     ("sos-witness", "br_z2_id", "coset", {"mode": "coset", "element": _terms(
         [[2, "g", 1], "1"], [[3, "1", 2], "-2"])}),
     ("psd", "br_z2_id", "lambda", {"element": _terms([[1, "g", 1], "1"], [[0, "1", 0], "1"])}),
+    ("psd", "br_z2_id", "rho", {"rep": "rho", "element": _terms(
+        [[1, "g", 0], "1"], [[0, "g", 1], "1"], [[0, "1", 0], "-1"])}),
     ("norm-bound", "br_z2_id", "rho", {"rep": "rho", "element": _terms(
         [[1, "g", 0], "1"], [[0, "1", 0], "-1"])}),
     # Toeplitz: [s, t] pairs, tuple degrees
@@ -111,6 +116,10 @@ PAYLOADS = [
     ("psd", "toeplitz_z2", "lambda", {"element": _terms(
         [[[0, 0], [0, 0]], "2"], [[[1, 0], [0, 0]], "-1"], [[[0, 0], [1, 0]], "-1"])}),
     ("norm-bound", "toeplitz_z2", "lambda", {"element": _terms(
+        [[[0, 0], [0, 0]], "1"], [[[1, 0], [0, 0]], "-1"])}),
+    ("psd", "toeplitz_z2", "rho", {"rep": "rho", "element": _terms(
+        [[[0, 0], [0, 0]], "2"], [[[1, 0], [0, 0]], "-1"], [[[0, 0], [1, 0]], "-1"])}),
+    ("norm-bound", "toeplitz_z2", "rho", {"rep": "rho", "element": _terms(
         [[[0, 0], [0, 0]], "1"], [[[1, 0], [0, 0]], "-1"])}),
     # shift bundle: named shifts and maps, the b-generated subsemigroup
     ("product", "shift_window5", "mixed", {"elements": ["a", "e", {"map": [[0, 1], [1, 2]]}]}),
