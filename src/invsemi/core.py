@@ -52,8 +52,8 @@ class SemigroupContext:
     # A family that knows its Green structure sets this to a map from a
     # nonzero element to (d_key, l_key, place): its D-class, its L-class in
     # it, and a place that right translation between two L-classes of one
-    # D-class keeps. The spectral certificates then solve one L-class part
-    # per D-class (rep.l_class_parts); None solves the whole window.
+    # D-class keeps (BR, graphs, Toeplitz). The certificates then solve one
+    # L-class part per D-class (rep.l_class_parts); None solves the window.
     green_coordinates = None
 
     def product(self, a, b):

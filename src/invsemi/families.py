@@ -414,20 +414,27 @@ class TQContext(SemigroupContext):
         s, t = p
         return (t, s)
 
+    @staticmethod
+    def green_coordinates(p):
+        """TQ is bisimple; (s, t) lies in the L-class of (t, t), and
+        (s, t)(t, t') = (s, t') keeps the place s."""
+        s, t = p
+        return 0, t, s
+
     def grading(self) -> Grading:
         return Grading(self, zn_group(self.n), tq_phi)
 
     def window(self, window, length):
         """All normal forms (s, t) of generator-word length sum(s) + sum(t)
         at most `length`, in deterministic order."""
-        def cones(dim, budget):
-            if dim == 0:
-                return [()]
-            return [(head,) + rest for head in range(budget + 1)
-                    for rest in cones(dim - 1, budget - head)]
+        def cones(budget):
+            points = [((), budget)]     # (point, budget left), by coordinate
+            for _ in range(self.n):
+                points = [(p + (head,), left - head)
+                          for p, left in points for head in range(left + 1)]
+            return points
 
-        return sorted((s, t) for s in cones(self.n, length)
-                      for t in cones(self.n, length - sum(s)))
+        return sorted((s, t) for s, left in cones(length) for t, _ in cones(left))
 
 
 def tq_phi(p):

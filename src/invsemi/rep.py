@@ -14,8 +14,7 @@ Eigensolves use the structure of these matrices: a matrix splits into the
 connected blocks of its entry graph (degree fibers, for a kernel element of a
 graded algebra), and each block goes to dense LAPACK when small or wide, or
 to banded LAPACK when its band is narrow (action matrices are tridiagonal).
-Blocks of equal content are solved once. For lambda the certificates go
-further and assemble only one L-class part per D-class: lambda maps each
+The certificates assemble one L-class part per D-class: lambda maps each
 L-class to itself (ab lies in the L-class of b), and right translation
 between the L-classes of one D-class commutes with lambda (Green's lemma).
 A family that names its Green coordinates lets `l_class_parts` check that
@@ -23,8 +22,9 @@ every part of a D-class translates into its largest one, keeping places and
 their order; the largest part's block then carries the window's extreme
 eigenvalues (a smaller part is a compression of it, inside by Cauchy
 interlacing), so the Bruck-Reilly window of level M is solved on one of its
-M + 1 equal parts. Every size takes the same path, and the result is
-deterministic.
+M + 1 equal parts. Rho takes the same path through the flip J: d_b -> d_b*,
+as J rho(f) J = lambda(sum f(s) s*). Every size takes the same path, and
+the result is deterministic.
 """
 
 from __future__ import annotations
@@ -76,13 +76,9 @@ class Truncation:
         return self.context.left_action(self.elements)
 
     @cached_property
-    def right(self):
-        """The right action in the same codes, through the involution: b a =
-        (a* b*)*, and b a a* = b exactly when a a* b* = b*, so it is the left
-        action of a* on the starred basis."""
-        star = self.context.star
-        act = self.context.left_action([star(b) for b in self.elements])
-        return lambda a: act(star(a))
+    def starred(self):
+        """The stars b* in this basis's order (see rho_matrix)."""
+        return Truncation(self.context, map(self.context.star, self.elements))
 
 
 class RepMatrix:
@@ -263,7 +259,7 @@ def lambda_matrix(f, B: Truncation) -> RepMatrix:
 
 def rho_matrix(a, B: Truncation) -> RepMatrix:
     """Right regular matrix: entry (ba, b) += coeff when b a a* = b and ba in B."""
-    return _term_matrix(len(B), _as_terms(a, B.context), B.right)
+    return _build(a, B, "rho", parts=False)
 
 
 def action_matrix(f, window) -> RepMatrix:
@@ -354,23 +350,11 @@ def _block_eigvals(size, rows, cols, vals, picks):
 
 def _extreme_eigvals(M: RepMatrix, picks=(0, -1)):
     """Smallest (pick 0) and largest (pick -1) eigenvalue of a Hermitian M,
-    block by block; a banded block is solved once per pick.
-
-    Blocks of equal content (size, local positions and float values, to the
-    bit) are solved once, and every copy adds that solve's values: lambda
-    keeps L-classes apart (rho, R-classes), and the classes of one D-class
-    carry unitarily equivalent blocks, as on a window the certificates do
-    not cut to one part (rho on Bruck-Reilly, lambda on Toeplitz). A lone
-    block builds no key.
-    """
+    block by block; a banded block is solved once per pick."""
     blocks, free = _blocks(M)
     found = [[0.0] * bool(free) for _ in picks]
-    solved = {}
-    for size, *arrays in blocks:
-        key = (size, *(a.tobytes() for a in arrays)) if len(blocks) > 1 else None
-        if key not in solved:
-            solved[key] = _block_eigvals(size, *arrays, picks=picks)
-        for bucket, value in zip(found, solved[key]):
+    for block in blocks:
+        for bucket, value in zip(found, _block_eigvals(*block, picks=picks)):
             bucket.append(value)
     out = [min(b) if p == 0 else max(b) for p, b in zip(picks, found)]
     if not all(map(math.isfinite, out)):
@@ -434,8 +418,8 @@ def norm_lower_bound(f, B, rep="lambda") -> float:
     A Hermitian matrix gives max(-lambda_min, lambda_max) from the block
     solve of min_eig; any other gives sqrt(lambda_max) of its Gram matrix
     F* F, taken on the float copy F of M, whose band is at most the lower
-    plus the upper band of M. For lambda, M is the matrix on one L-class
-    part per D-class, which has the window's largest singular value.
+    plus the upper band of M. For lambda and rho, M is the matrix on one
+    L-class part per D-class, which has the window's largest singular value.
     """
     M = _build(f, B, rep)
     if M.n == 0:
@@ -449,24 +433,30 @@ def norm_lower_bound(f, B, rep="lambda") -> float:
     return math.sqrt(max(_extreme_eigvals(F.adjoint() * F, picks=(-1,))[0], 0.0))
 
 
-def _build(f, B, rep) -> RepMatrix:
-    """The matrix the certificates solve: for lambda, on `l_class_parts(B)`.
-    A part is Hermitian exactly when the window is, since any pair of
+def _build(f, B, rep, parts=True) -> RepMatrix:
+    """Lambda on `l_class_parts(B)`, or on B without parts; rho is lambda
+    of sum f(s) s* (not conjugated) on B.starred: b a = (a* b*)*, and b a a*
+    = b exactly when a a* b* = b*, so each entry keeps its position, on any
+    B. A part is Hermitian exactly when the window is, since any pair of
     positions in a smaller part is a pair in its representative."""
-    if rep == "lambda":
-        return lambda_matrix(f, l_class_parts(B))
-    if rep == "rho":
-        return rho_matrix(f, B)
     if rep == "action":
         return action_matrix(f, B)
-    raise InputError(f"unknown representation choice {rep!r}")
+    terms = _as_terms(f, B.context)
+    if rep == "rho":
+        star = B.context.star
+        terms, B = {star(s): c for s, c in terms.items()}, B.starred
+    elif rep != "lambda":
+        raise InputError(f"unknown representation choice {rep!r}")
+    if parts:
+        B = l_class_parts(B)
+    return _term_matrix(len(B), terms, B.left)
 
 
 def psd_refute(f, B, rep="lambda", tol=None) -> dict:
     """Certificate that f is not positive, when the compressed spectrum dips
     below -tol. Sound because compressions of positive operators stay PSD.
-    For lambda the spectrum is taken on one L-class part per D-class; the
-    basis size and the default tol read the whole window."""
+    For lambda and rho the spectrum is taken on one L-class part per
+    D-class; the basis size and the default tol read the whole window."""
     M = _build(f, B, rep)
     if tol is None:
         tol = 1e-9 * max(len(B), 1)
@@ -480,7 +470,7 @@ def psd_refute(f, B, rep="lambda", tol=None) -> dict:
         if M.n == len(B):
             raise
         # the window's own scan names the position
-        value = min_eig(lambda_matrix(f, B))
+        value = min_eig(_build(f, B, rep, parts=False))
     return {
         "claim": "f is positive",
         "rep": rep,
@@ -506,7 +496,7 @@ def rep_identity_check(B: Truncation, elements) -> dict:
     """
     ctx = B.context
     left = cache(lambda a: B.left(a).tolist())
-    right = cache(lambda a: B.right(a).tolist())
+    right = cache(lambda a: B.starred.left(ctx.star(a)).tolist())
     elems = [e for e in elements if not ctx.is_zero(e)]
     checked = skipped = 0
     violations = []

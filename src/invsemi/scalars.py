@@ -294,7 +294,10 @@ def principal_sqrt(x):
 
 def scalar_to_json(x):
     if isinstance(x, QQi):
-        return {"re": str(x.re), "im": str(x.im)}
+        re, im = x.re, x.im
+        if any(map(_too_long, (re.numerator, re.denominator, im.numerator, im.denominator))):
+            raise InputError(f"a computed scalar has more than {MAX_DECIMAL_EXPONENT} digits")
+        return {"re": str(re), "im": str(im)}
     return {"re": repr(x.real), "im": repr(x.imag), "float": True}
 
 

@@ -473,6 +473,16 @@ def test_scalar_at_the_print_limit_is_accepted(capsys, tmp_path):
     assert json.loads(out)["restricted"]["terms"][0][1]["re"] == str(9 * 10 ** 4299)
 
 
+def test_computed_scalar_past_the_print_limit_is_input_error(capsys, tmp_path):
+    # each term is within the digit cap, and their sum 1.8e4300 is not
+    term = [[1, 0, 1], {"re": "9e4299"}]
+    doc = dict(BR_Z2_ID, element={"terms": [term, term]})
+    code, out, err = run(capsys, ["epsilon"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "4300 digits" in err and "Traceback" not in err
+
+
 def test_missing_input(capsys):
     code, _, err = run(capsys, ["idempotents"])
     assert code == 2
@@ -483,6 +493,14 @@ def test_unknown_fixture_lists_names(capsys):
     code, _, err = run(capsys, ["idempotents", "--input", "no_such_fixture"])
     assert code == 2
     assert "bouquet1" in err and "toeplitz_z2" in err
+
+
+def test_toeplitz_window_of_high_rank(capsys, tmp_path):
+    # building the window recursed once per coordinate, past the stack at n = 500
+    code, out, _ = run(capsys, ["idempotents", "--length", "0"],
+                       {"kind": "toeplitz", "n": 600}, tmp_path)
+    assert code == 0
+    assert json.loads(out)["idempotents"] == [[[0] * 600, [0] * 600]]
 
 
 def test_infinite_structure_rejected(capsys):

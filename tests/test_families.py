@@ -26,7 +26,7 @@ from invsemi.families import (
     tq_oracle_check,
     tq_phi,
 )
-from util import as_pb, identity_pb, interval_shifts, rand_qqi
+from util import as_pb, identity_pb, interval_shifts, rand_qqi, recursive_tq_window
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +360,12 @@ def test_tq_generator_degrees():
     gens = tq_generators(ctx)
     assert [tq_phi(g) for g in gens] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert [tq_phi(ctx.star(g)) for g in gens] == [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+
+
+def test_tq_window_matches_the_recursive_form():
+    for n in (1, 2, 3, 4):
+        for L in range(6):
+            assert TQContext(n).window(0, L) == recursive_tq_window(n, L)
 
 
 def test_tq_apply():

@@ -1,12 +1,16 @@
-"""The lambda certificates on one L-class part per D-class.
+"""The lambda and rho certificates on one L-class part per D-class.
 
 `rep.l_class_parts` keeps, in each D-class of a window, the largest L-class
 part, when every other part lists some of its places in the same order.
-`psd_refute` and `norm_lower_bound` then solve only those parts. Here they
-are compared bit for bit with the whole window's matrix, solved in full
-(`util`), on the families with the hook (Bruck-Reilly, graphs). The hooks
-are checked with products and stars alone: each part right-translates into
-its representative, keeping places.
+`psd_refute` and `norm_lower_bound` then solve only those parts, rho through
+the flip: rho(f) on B is lambda of f-check = sum f(s) s* on `B.starred`.
+Here they are compared with the whole window's matrix, solved in full
+(`util`), on the families with the hook: bit for bit on Bruck-Reilly and
+graphs, and within 1e-12 on Toeplitz, whose smaller parts are cut from the
+largest one, so the window's other blocks can only lower its smallest
+computed eigenvalue and raise its largest. The hooks are checked with
+products and stars alone: each part right-translates into its
+representative, keeping places.
 """
 
 import random
@@ -16,10 +20,10 @@ import pytest
 from invsemi.algebra import AlgebraElement, convolve, involution
 from invsemi.core import PartialBijection, close_generators
 from invsemi.errors import NotHermitian
-from invsemi.families import br_window, br_z2_contexts
+from invsemi.families import TQContext, br_window, br_z2_contexts
 from invsemi.jsonio import load_fixture
 from invsemi.rep import (Truncation, l_class_parts, lambda_matrix, min_eig,
-                         norm_lower_bound, psd_refute)
+                         norm_lower_bound, psd_refute, rho_matrix)
 from util import rand_qqi, window_min_eig, window_norm
 
 
@@ -34,6 +38,11 @@ def _graph(name, lengths):
     return ctx, [ctx.window(0, L) for L in lengths], ctx.window(0, 2)
 
 
+def _tq(n, lengths):
+    ctx = TQContext(n)
+    return ctx, [ctx.window(0, L) for L in lengths], ctx.window(0, 2)
+
+
 # name -> (context, windows, pool of terms)
 CASES = {
     "br_id": lambda: _br(0),
@@ -41,7 +50,12 @@ CASES = {
     "bouquet1": lambda: _graph("bouquet1", range(1, 6)),
     "bouquet2": lambda: _graph("bouquet2", (1, 3, 5)),
     "two_vertex": lambda: _graph("two_vertex", range(1, 6)),
+    "tq1": lambda: _tq(1, (1, 2, 5, 9, 16)),
+    "tq2": lambda: _tq(2, (1, 2, 4, 6)),
 }
+# the cases whose parts carry the window's values to the bit
+BIT_EQUAL = {"br_id", "br_collapse", "bouquet1", "bouquet2", "two_vertex"}
+MATRIX = {"lambda": lambda_matrix, "rho": rho_matrix}
 
 
 def _elements(ctx, pool, rng):
@@ -54,26 +68,70 @@ def _elements(ctx, pool, rng):
             "float": g + involution(g)}
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_part_path_matches_the_whole_window(name):
+def _check(name, rep, f, B):
+    """psd and norm on the parts against the whole window's rep matrix."""
+    matrix = MATRIX[rep]
+    norm, want_norm = norm_lower_bound(f, B, rep), window_norm(f, B, matrix)
+    try:
+        want = window_min_eig(f, B, matrix)
+    except NotHermitian as err:
+        with pytest.raises(NotHermitian) as got:
+            psd_refute(f, B, rep)
+        assert got.value.witness == err.witness
+        want = None
+    if name in BIT_EQUAL:
+        assert repr(norm) == repr(want_norm)
+    else:
+        assert want_norm - 1e-12 <= norm <= want_norm
+    if want is None:
+        return
+    cert = psd_refute(f, B, rep)
+    if name in BIT_EQUAL:
+        assert repr(cert["value"]) == repr(want)
+    else:
+        assert want <= cert["value"] <= want + 1e-12
+    assert cert["basis_size"] == len(B)
+    assert cert["tolerance"] == 1e-9 * len(B)
+
+
+def _compare_windows(name, rep):
     ctx, windows, pool = CASES[name]()
     rng = random.Random(len(name))
     for elements in windows:
         B = Truncation(ctx, elements)
-        assert len(l_class_parts(B)) < len(B)
-        for label, f in _elements(ctx, pool, rng).items():
-            assert repr(norm_lower_bound(f, B)) == repr(window_norm(f, B)), label
-            try:
-                want = window_min_eig(f, B)
-            except NotHermitian as err:
-                with pytest.raises(NotHermitian) as got:
-                    psd_refute(f, B)
-                assert got.value.witness == err.witness
-                continue
-            cert = psd_refute(f, B)
-            assert repr(cert["value"]) == repr(want), label
-            assert cert["basis_size"] == len(B)
-            assert cert["tolerance"] == 1e-9 * len(B)
+        assert len(l_class_parts(B if rep == "lambda" else B.starred)) < len(B)
+        for f in _elements(ctx, pool, rng).values():
+            _check(name, rep, f, B)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_part_path_matches_the_whole_window(name):
+    _compare_windows(name, "lambda")
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_rho_part_path_matches_the_whole_window(name):
+    _compare_windows(name, "rho")
+
+
+@pytest.mark.parametrize("name", ["br_id", "bouquet2", "tq2"])
+def test_rho_is_lambda_of_the_flip_on_a_window_that_is_not_star_closed(name):
+    # J rho(f) J = lambda(f-check), f-check = sum f(s) s*: rho(f) on B is
+    # lambda(f-check) on the stars of B, at B's positions, value for value
+    ctx, windows, pool = CASES[name]()
+    elements = list(windows[2])
+    random.Random(7).shuffle(elements)
+    B = Truncation(ctx, elements[: len(elements) // 2])
+    assert any(ctx.star(b) not in B for b in B.elements)
+    assert B.starred.elements == [ctx.star(b) for b in B.elements]
+    rng = random.Random(2)
+    for f in _elements(ctx, pool, rng).values():
+        flipped = AlgebraElement(ctx, [(ctx.star(s), c) for s, c in f.terms.items()])
+        R, L = rho_matrix(f, B), lambda_matrix(flipped, B.starred)
+        assert (R.rows.tolist(), R.cols.tolist(), R.vids.tolist(), R.dropped) == (
+            L.rows.tolist(), L.cols.tolist(), L.vids.tolist(), L.dropped)
+        assert list(map(repr, R.values)) == list(map(repr, L.values))
+        _check(name, "rho", f, B)
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -151,14 +209,23 @@ def test_a_context_without_the_hook_keeps_the_window():
     assert S.green_coordinates is None and l_class_parts(B) is B
 
 
-def test_a_non_hermitian_part_names_the_window_position():
+def _names_the_window_position(rep):
     # the asymmetry sits in every part; psd names the window's first one
     br, _ = br_z2_contexts()
     B = Truncation(br, br_window(br, 5))
+    assert len(l_class_parts(B if rep == "lambda" else B.starred)) < len(B)
     f = AlgebraElement(br, [((1, 1, 0), 1), ((0, 0, 0), 2)])
     with pytest.raises(NotHermitian) as got:
-        psd_refute(f, B)
+        psd_refute(f, B, rep)
     with pytest.raises(NotHermitian) as want:
-        min_eig(lambda_matrix(f, B))
+        min_eig(MATRIX[rep](f, B))
     assert got.value.witness == want.value.witness
     assert str(got.value) == str(want.value)
+
+
+def test_a_non_hermitian_part_names_the_window_position():
+    _names_the_window_position("lambda")
+
+
+def test_a_non_hermitian_rho_part_names_the_window_position():
+    _names_the_window_position("rho")

@@ -2,8 +2,8 @@
 
 `SemigroupContext.left_action` gives, for a listed basis, one code per basis
 element: its image's position, -1 when the image is not listed, -2 outside
-the domain. Bruck-Reilly overrides the default in numpy, and `Truncation`
-derives R from it through the involution. Both are compared here with the
+the domain. Bruck-Reilly overrides the default in numpy, and R's codes are
+those of a* on `Truncation.starred`, the starred basis. Both are compared here with the
 left and right actions computed product by product, on every kind of
 context, on the full window, a shuffled half of it, and terms that lie
 outside the window; the matrices built from the codes are compared with
@@ -105,7 +105,7 @@ def test_codes_match_the_product_oracle(make, basis):
     B = Truncation(ctx, elements)
     assert basis == "full" or any(t not in B for t in terms)
     for a in terms:
-        left, right = B.left(a), B.right(a)
+        left, right = B.left(a), B.starred.left(ctx.star(a))
         assert left.dtype == right.dtype == np.int64
         assert left.tolist() == oracle_codes(left_oracle(ctx, a, elements), elements)
         assert right.tolist() == oracle_codes(right_oracle(ctx, a, elements), elements)
@@ -119,7 +119,8 @@ def test_br_codes_on_a_basis_with_far_indices(far):
         B = Truncation(ctx, elements)
         for a in ctx.window(3, 0) + [(far, 0, 0), (0, 1, far), (1, 1, far + 1)]:
             assert B.left(a).tolist() == oracle_codes(left_oracle(ctx, a, elements), elements)
-            assert B.right(a).tolist() == oracle_codes(right_oracle(ctx, a, elements), elements)
+            assert (B.starred.left(ctx.star(a)).tolist()
+                    == oracle_codes(right_oracle(ctx, a, elements), elements))
 
 
 def _oracle_matrix(n, index, terms, images):

@@ -379,7 +379,8 @@ def banded_calls(monkeypatch):
 
 def test_block_solver_splits_br_square_into_degree_blocks(monkeypatch):
     # lambda keeps L-classes apart, and the L-classes of one D-class give
-    # equal blocks: level M has M + 1 blocks of 2(M + 1) rows, solved once
+    # equal blocks: level M has M + 1 blocks of 2(M + 1) rows, and psd
+    # solves one of them, on one L-class part
     rng = random.Random(5)
     ctx, _ = br_z2_contexts()
     f = AlgebraElement(ctx, [((0, 0, 0), rand_qqi(rng)), ((1, 1, 0), rand_qqi(rng)),
@@ -399,8 +400,11 @@ def test_block_solver_splits_br_square_into_degree_blocks(monkeypatch):
         assert (M.n, free) == (2 * (level + 1) ** 2, 0)
         assert sorted(size for size, *_ in blocks) == [2 * (level + 1)] * (level + 1)
         calls.clear()
-        value = min_eig(M)
+        value = psd_refute(ff, B)["value"]
         assert calls == [2 * (level + 1)]
+        calls.clear()
+        assert min_eig(M) == value
+        assert calls == [2 * (level + 1)] * (level + 1)
         if level == 9:
             assert_spectrum_matches(M)
             vals = np.linalg.eigvalsh(to_dense(M))
@@ -460,25 +464,24 @@ def two_shift_blocks(rng, distinct):
     return f, Truncation(None, range(n))
 
 
-def check_gram_path(banded_calls, distinct, solves):
+def check_gram_path(banded_calls, distinct):
     f, B = two_shift_blocks(random.Random(13), distinct)
     M = action_matrix(f, B)
     assert not M.is_hermitian()
     assert len(rep_module._blocks(M)[0]) == 2
     val = norm_lower_bound(f, B, rep="action")
     assert abs(val - np.linalg.svd(to_dense(M), compute_uv=False)[0]) < 1e-9
-    # bands 2 below and 1 above give a Gram band of 3; one solve per
-    # distinct block
-    assert banded_calls == [((4, 350), np.complex128)] * solves
+    # bands 2 below and 1 above give a Gram band of 3; one solve per block
+    assert banded_calls == [((4, 350), np.complex128)] * 2
 
 
 def test_norm_lower_bound_gram_path_for_non_hermitian(banded_calls):
-    # both blocks carry the same coefficients, so their Gram blocks are equal
-    check_gram_path(banded_calls, distinct=False, solves=1)
+    # both blocks carry the same coefficients; each is solved on its own
+    check_gram_path(banded_calls, distinct=False)
 
 
 def test_norm_lower_bound_gram_path_solves_distinct_blocks_apart(banded_calls):
-    check_gram_path(banded_calls, distinct=True, solves=2)
+    check_gram_path(banded_calls, distinct=True)
 
 
 def test_psd_refute_large_br_square_is_not_refuted():

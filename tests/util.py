@@ -59,6 +59,20 @@ def interval_shifts(lo, hi):
             for q in range(p, min(hi, hi - d) + 1)]
 
 
+# -- Toeplitz windows by recursion over the coordinates ----------------------
+
+def recursive_tq_window(n, length):
+    """`TQContext(n).window(0, length)` as it was built by recursion, one
+    level per coordinate."""
+    def cones(dim, budget):
+        if dim == 0:
+            return [()]
+        return [(head,) + rest for head in range(budget + 1)
+                for rest in cones(dim - 1, budget - head)]
+
+    return sorted((s, t) for s in cones(n, length) for t in cones(n, length - sum(s)))
+
+
 # -- raw dict-based partial map oracle (independent of PartialBijection) ----
 
 def raw_compose(f: dict, g: dict) -> dict:
@@ -554,17 +568,18 @@ def per_block_extreme_eigvals(M, picks=(0, -1)):
 
 # -- spectral certificates on the whole window -------------------------------
 
-def window_min_eig(f, B):
-    """`rep.psd_refute`'s value on the whole window's lambda matrix, scanned
-    for symmetry and solved in full; NotHermitian names its first
-    asymmetric position."""
-    return rep.min_eig(rep.lambda_matrix(f, B))
+def window_min_eig(f, B, matrix=rep.lambda_matrix):
+    """`rep.psd_refute`'s value on the whole window's lambda matrix (or
+    `matrix`, such as `rep.rho_matrix`), scanned for symmetry and solved in
+    full; NotHermitian names its first asymmetric position."""
+    return rep.min_eig(matrix(f, B))
 
 
-def window_norm(f, B):
-    """`rep.norm_lower_bound` on the whole window's lambda matrix: its block
-    solve when the matrix is Hermitian, else the top of its Gram matrix."""
-    M = rep.lambda_matrix(f, B)
+def window_norm(f, B, matrix=rep.lambda_matrix):
+    """`rep.norm_lower_bound` on the whole window's lambda matrix (or
+    `matrix`): its block solve when the matrix is Hermitian, else the top
+    of its Gram matrix."""
+    M = matrix(f, B)
     if not len(M.vids):
         return 0.0
     if M.is_hermitian():
