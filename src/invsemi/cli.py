@@ -240,8 +240,8 @@ def cmd_psd(li, args):
 def cmd_norm_bound(li, args):
     f = li.decode_algebra(_payload(li, "element"))
     B, rep = li.certificate_basis(args.window, args.length)
-    return {"rep": rep, "basis_size": len(B),
-            "norm_lower_bound": norm_lower_bound(f, B, rep=rep)}
+    value = norm_lower_bound(f, B, rep=rep)     # refuses a window past a cap first
+    return {"rep": rep, "basis_size": len(B), "norm_lower_bound": value}
 
 
 def cmd_coaction_check(li, args):

@@ -261,9 +261,6 @@ class Shift(tuple):
 
 EMPTY_SHIFT = Shift(0, 1, 0)
 
-# the largest window whose action points are listed, one Python int each
-MAX_ACTION_WINDOW = 10 ** 7
-
 
 class ShiftBundle(SemigroupContext):
     """Constant shifts on intervals of the integer window [-n, n+1].
@@ -312,11 +309,9 @@ class ShiftBundle(SemigroupContext):
 
     @property
     def action_points(self):
-        """The points 0..n the restricted square acts on; a window past
-        MAX_ACTION_WINDOW is refused before any is listed."""
-        if self.n > MAX_ACTION_WINDOW:
-            raise InputError(f"window {self.n} is past the action cap {MAX_ACTION_WINDOW}")
-        return list(range(0, self.n + 1))
+        """The points 0..n the restricted square acts on, as a range; a
+        window past rep's action cap is refused by action_matrix."""
+        return range(0, self.n + 1)
 
     def shift_degree(self, s: Shift) -> int:
         """The constant displacement of a shift; identities have degree 0."""

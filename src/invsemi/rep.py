@@ -13,7 +13,8 @@ never exceeds the true norm and grows with the window.
 Eigensolves use the structure of these matrices: a matrix splits into the
 connected blocks of its entry graph (degree fibers, for a kernel element of a
 graded algebra), and each block goes to dense LAPACK when small or wide, or
-to banded LAPACK when its band is narrow (action matrices are tridiagonal).
+to banded LAPACK when its band is narrow (action matrices are tridiagonal, one
+block by their subdiagonal, and a norm solves their bottom only if needed).
 The certificates assemble one L-class part per D-class: lambda maps each
 L-class to itself (ab lies in the L-class of b), and right translation
 between the L-classes of one D-class commutes with lambda (Green's lemma).
@@ -41,33 +42,40 @@ from .algebra import AlgebraElement, Grading, _membership, convolve, epsilon_res
 from .errors import ContextMismatch, InputError, NotHermitian
 from .scalars import QQi, as_scalar, conj, is_exact, rand_qqi, to_complex
 
-# a block this small, or with a band wider than 1/_BAND_RATIO of its size,
-# is solved dense: there eigvalsh beats eig_banded (measured at 64-2000 rows)
+# a block this small, or with a band wider than 1/_BAND_RATIO of its size, is
+# solved dense, far past the crossover: one eigvalsh took 160 us against 41 us
+# per eig_banded pick at 64 rows and band 1, 3.2 against 0.14 ms at 256 rows,
+# and 3.1 against 1.0 ms at 256 rows and band 9 (2-vCPU x86-64, best of 5)
 _SMALL_BLOCK = 256
 _BAND_RATIO = 32
+# the largest shift-bundle window n: action_matrix refuses more points upfront
+MAX_ACTION_WINDOW = 10 ** 7
 
 
 class Truncation:
-    """Ordered basis of distinct nonzero elements with a membership index;
-    with context None, the points of an action window (see action_matrix)."""
+    """Ordered basis of distinct nonzero elements; with context None, the
+    points of an action window (see action_matrix), a range kept as it is."""
 
     def __init__(self, context, elements):
         self.context = context
-        self.elements = (list(elements) if context is None
-                         else [e for e in elements if not context.is_zero(e)])
-        self.index = dict(zip(self.elements, range(len(self.elements))))
-        if len(self.index) != len(self.elements):
+        if context is not None:
+            elements = [e for e in elements if not context.is_zero(e)]
+        self.elements = elements if isinstance(elements, range) else list(elements)
+        if self.elements is not elements and len(set(self.elements)) != len(self):
             seen = set()
-            for e in self.elements:
-                if e in seen:
-                    raise InputError(f"duplicate basis element {e!r}")
-                seen.add(e)
+            twice = next(e for e in self.elements if e in seen or seen.add(e))
+            raise InputError(f"duplicate basis element {twice!r}")
 
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, e):
         return e in self.index
+
+    @cached_property
+    def index(self):
+        """Element -> position, built on first use."""
+        return dict(zip(self.elements, range(len(self.elements))))
 
     @cached_property
     def left(self):
@@ -266,14 +274,18 @@ def action_matrix(f, window) -> RepMatrix:
     """Point-mass action: entry (s(x), x) += f(s).
 
     The window lists the ints lo, lo + 1, ..., lo + n - 1 in that order (a
-    list, a range, or a Truncation of one); any other window is an
-    InputError before an array is built. Each term answers its own
-    `point_codes(lo, n)`, as interval shifts do; other support is an
-    InputError.
+    list, checked point by point, a range of step 1, or a Truncation of one);
+    any other window, or one past MAX_ACTION_WINDOW + 1 points, is an
+    InputError before an array is built. Each term answers `point_codes(lo,
+    n)`, as interval shifts do; other support is an InputError.
     """
     points = window.elements if isinstance(window, Truncation) else window
-    lo, n = (points[0] if len(points) else 0), len(points)
-    if not (set(map(type, points)) <= {int}
+    interval = isinstance(points, range) and points.step == 1
+    n = max(points.stop - points.start, 0) if interval else len(points)
+    if n > MAX_ACTION_WINDOW + 1:
+        raise InputError(f"window {n - 1} is past the action cap {MAX_ACTION_WINDOW}")
+    lo = points[0] if n else 0
+    if not (interval or set(map(type, points)) <= {int}
             and all(map(operator.eq, points, range(lo, lo + n)))):
         raise InputError("an action window must list the integers lo, lo + 1, ..., "
                          "lo + n - 1 in order")
@@ -296,11 +308,14 @@ def _blocks(M: RepMatrix):
     Returns (blocks, free): each block is (size, rows, cols, values) with
     indices renumbered 0..size-1 in their original order, blocks ordered by
     their smallest index, and free counts the indices no entry touches (zero
-    rows and columns, eigenvalue 0). Edges hook the larger root of their ends
+    rows and columns, eigenvalue 0). M is one block as it stands when every
+    (i + 1, i) is an entry. Otherwise edges hook the larger root of their ends
     to the smaller, pointer jumping flattens the forest, until every edge
     lies in one tree, rooted at the smallest index of its component.
     """
     rows, cols = M.rows, M.cols
+    if M.n > 1 and np.count_nonzero(rows - cols == 1) == M.n - 1:
+        return [(M.n, rows, cols, M._floats())], 0
     root = np.arange(M.n)
     while True:
         while not np.array_equal(root[root], root):
@@ -324,42 +339,48 @@ def _blocks(M: RepMatrix):
     return [(int(s), *block) for s, *block in zip(sizes, *parts)], M.n - len(idx)
 
 
-def _block_eigvals(size, rows, cols, vals, picks):
-    """Eigenvalues at the ascending positions `picks` of one Hermitian block.
-
-    LAPACK reads the lower triangle only. A block goes to the dense solver
-    when it is small or its band is wide, else to the banded one.
-    """
+def _lower(size, rows, cols, vals):
+    """The lower triangle of one Hermitian block, all LAPACK reads: square if
+    small or wide, else in band storage ab[i - j, j] = A[i, j] (fewer rows)."""
     if not vals.imag.any():
         vals = vals.real
     lower = rows >= cols
     rows, cols, vals = rows[lower], cols[lower], vals[lower]
     band = int((rows - cols).max(initial=0))
-    if size <= _SMALL_BLOCK or _BAND_RATIO * band > size:
-        A = np.zeros((size, size), dtype=vals.dtype)
-        A[rows, cols] = vals
-        spectrum = np.linalg.eigvalsh(A, UPLO="L")
-        return [float(spectrum[p]) for p in picks]
+    dense = size <= _SMALL_BLOCK or _BAND_RATIO * band > size
+    A = np.zeros((size, size) if dense else (band + 1, size), dtype=vals.dtype)
+    A[(rows, cols) if dense else (rows - cols, cols)] = vals
+    return A
+
+
+def _block_eigvals(A, picks):
+    """Eigenvalues at the ascending positions `picks` of a block stored by
+    `_lower`: one eigvalsh, or one eig_banded bisection per pick."""
+    size = A.shape[1]
+    if A.shape[0] == size:
+        return np.linalg.eigvalsh(A, UPLO="L")[list(picks)].tolist()
     from scipy.linalg import eig_banded
-    ab = np.zeros((band + 1, size), dtype=vals.dtype)
-    ab[rows - cols, cols] = vals
-    return [float(eig_banded(ab, lower=True, eigvals_only=True, select="i",
+    return [float(eig_banded(A, lower=True, eigvals_only=True, select="i",
                              select_range=(p % size, p % size))[0])
             for p in picks]
 
 
+def _finite(value):
+    if not math.isfinite(value):
+        raise InputError("an eigenvalue is out of the float range")
+    return value
+
+
 def _extreme_eigvals(M: RepMatrix, picks=(0, -1)):
     """Smallest (pick 0) and largest (pick -1) eigenvalue of a Hermitian M,
-    block by block; a banded block is solved once per pick."""
+    block by block: one eigvalsh per dense block, one bisection per pick and
+    banded block."""
     blocks, free = _blocks(M)
     found = [[0.0] * bool(free) for _ in picks]
     for block in blocks:
-        for bucket, value in zip(found, _block_eigvals(*block, picks=picks)):
+        for bucket, value in zip(found, _block_eigvals(_lower(*block), picks)):
             bucket.append(value)
-    out = [min(b) if p == 0 else max(b) for p, b in zip(picks, found)]
-    if not all(map(math.isfinite, out)):
-        raise InputError("an eigenvalue is out of the float range")
-    return out
+    return [_finite(min(b) if p == 0 else max(b)) for p, b in zip(picks, found)]
 
 
 def min_eig(M: RepMatrix) -> float:
@@ -415,22 +436,41 @@ def norm_lower_bound(f, B, rep="lambda") -> float:
     """Largest singular value of the compressed matrix; never exceeds the
     true norm and is nondecreasing in the window.
 
-    A Hermitian matrix gives max(-lambda_min, lambda_max) from the block
-    solve of min_eig; any other gives sqrt(lambda_max) of its Gram matrix
-    F* F, taken on the float copy F of M, whose band is at most the lower
-    plus the upper band of M. For lambda and rho, M is the matrix on one
-    L-class part per D-class, which has the window's largest singular value.
+    A Hermitian M gives max(-lo, hi) of `_extreme_eigvals`, bit for bit: H is
+    the largest top of its blocks, and a banded block A is bisected for its
+    bottom only when A + (H - 2^-20 H) I has no banded Cholesky factor, which
+    would prove -lambda_min(A) < H (Rump, BIT 2006). Any other M gives
+    sqrt(lambda_max) of its Gram matrix F* F, taken on the float copy F of M,
+    whose band is at most the lower plus the upper band of M. For lambda and
+    rho, M is the matrix on one L-class part per D-class, which has the
+    window's largest singular value.
     """
     M = _build(f, B, rep)
     if M.n == 0:
         raise InputError("empty basis")
     if not len(M.vids):
         return 0.0
-    if M.is_hermitian():
-        lo, hi = _extreme_eigvals(M)
-        return max(-lo, hi)
-    F = RepMatrix._from_coo(M.n, M.rows, M.cols, M.vids, [to_complex(c) for c in M.values])
-    return math.sqrt(max(_extreme_eigvals(F.adjoint() * F, picks=(-1,))[0], 0.0))
+    if not M.is_hermitian():
+        F = RepMatrix._from_coo(M.n, M.rows, M.cols, M.vids, [to_complex(c) for c in M.values])
+        return math.sqrt(max(_extreme_eigvals(F.adjoint() * F, picks=(-1,))[0], 0.0))
+    blocks, free = _blocks(M)
+    top, lows, bands = (0.0 if free else -math.inf), [0.0] * bool(free), []
+    for A in (_lower(*block) for block in blocks):
+        *lo, hi = _block_eigvals(A, (0, -1) if A.shape[0] == A.shape[1] else (-1,))
+        lows += lo      # one eigvalsh gives both ends of a dense block
+        if not lo:
+            bands.append(A)
+        top = max(top, hi)
+    for ab in bands:
+        if 0 < top < math.inf:
+            from contextlib import suppress
+            from scipy.linalg import LinAlgError, cholesky_banded
+            shifted = np.concatenate([ab[:1] + (top - top * 2.0 ** -20), ab[1:]])
+            with suppress(LinAlgError, ValueError):     # not positive, or overflowed
+                cholesky_banded(shifted, lower=True, overwrite_ab=True)
+                continue
+        lows += _block_eigvals(ab, (0,))
+    return _finite(max(-min(lows, default=top), top))
 
 
 def _build(f, B, rep, parts=True) -> RepMatrix:

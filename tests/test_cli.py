@@ -602,6 +602,10 @@ def test_shift_map_that_is_no_interval_shift_is_input_error(capsys, tmp_path, el
     (["example62", "--window", "10000001"], None),
     (["psd"], {"kind": "shift_bundle", "window": 10000001,
                "element": {"terms": [["e", "1"], ["b", "-1"]]}}),
+    # the window's point range is longer than any machine int can count
+    (["norm-bound"], {"kind": "shift_bundle", "window": 2 ** 64,
+                      "element": {"terms": [["e", "1"], ["b", "-1"]]}}),
+    (["example62", "--window", str(2 ** 64)], None),
 ])
 def test_action_window_past_the_cap_is_input_error(capsys, tmp_path, argv, doc):
     # one past the cap: refused before a single point is listed

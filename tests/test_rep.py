@@ -28,8 +28,9 @@ from invsemi.rep import (RepMatrix, Truncation, action_matrix,
                          rho_matrix)
 import invsemi.rep as rep_module
 from invsemi.scalars import QQi, is_exact, to_complex
-from util import (as_pb, dict_gram, dict_product, interval_shifts, per_block_extreme_eigvals,
-                  per_column_rep_identity_check, rand_qqi, to_dense)
+from util import (as_action, as_pb, dict_gram, dict_product, interval_shifts,
+                  per_block_extreme_eigvals, per_column_rep_identity_check, rand_qqi,
+                  to_dense, union_find_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +346,14 @@ def test_zero_element_has_zero_norm_bound():
 # block solver: dense or banded LAPACK per connected block
 # ---------------------------------------------------------------------------
 
-def banded_hermitian(rng, n, band):
-    """Random complex Hermitian matrix with every diagonal up to `band` full."""
+def banded_hermitian(rng, n, band, real=False):
+    """Random complex (or real) Hermitian matrix with every diagonal up to
+    `band` full."""
     entries = []
     for i in range(n):
         entries.append(((i, i), QQi(rng.randint(-9, 9))))
         for d in range(1, min(band, n - 1 - i) + 1):
-            c = rand_qqi(rng) or QQi(1)
+            c = (QQi(rng.randint(-9, 9)) if real else rand_qqi(rng)) or QQi(1)
             entries += [((i + d, i), c), ((i, i + d), c.conjugate())]
     return RepMatrix(n, entries)
 
@@ -388,9 +390,9 @@ def test_block_solver_splits_br_square_into_degree_blocks(monkeypatch):
     ff = convolve(involution(f), f)
     solve, calls = rep_module._block_eigvals, []
 
-    def spy(size, *args, **kwargs):
-        calls.append(size)
-        return solve(size, *args, **kwargs)
+    def spy(A, *args, **kwargs):
+        calls.append(A.shape[1])
+        return solve(A, *args, **kwargs)
 
     monkeypatch.setattr(rep_module, "_block_eigvals", spy)
     for level in (9, 25):
@@ -482,6 +484,161 @@ def test_norm_lower_bound_gram_path_for_non_hermitian(banded_calls):
 
 def test_norm_lower_bound_gram_path_solves_distinct_blocks_apart(banded_calls):
     check_gram_path(banded_calls, distinct=True)
+
+
+# ---------------------------------------------------------------------------
+# Hermitian norm: a banded block's bottom only when no factor rules it out
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Record each banded eigensolve and banded Cholesky factor by name."""
+    import scipy.linalg
+    calls = []
+    for name in ("eig_banded", "cholesky_banded"):
+        def spy(*args, name=name, solve=getattr(scipy.linalg, name), **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, name, spy)
+    return calls
+
+
+def toeplitz_block(start, m, diagonal, off):
+    """Terms of the Hermitian tridiagonal Toeplitz block on the points
+    start..start+m-1: `diagonal` on the diagonal, `off` below, conj above."""
+    end = start + m - 1
+    return [(Shift(0, start, end), diagonal), (Shift(1, start, end - 1), off),
+            (Shift(-1, start + 1, end), off.conjugate())]
+
+
+def norm_cases():
+    """(name, f, window) whose action matrices are Hermitian with blocks of
+    more than 256 rows, and the banded solves and factors each one takes."""
+    rng = random.Random(41)
+    real, complex_ = banded_hermitian(rng, 300, 2, real=True), banded_hermitian(rng, 400, 3)
+    weights = [QQi(rng.randint(1, 9)) for _ in range(299)]
+    path = RepMatrix(300, [(p, w) for i, w in enumerate(weights) for p in ((i + 1, i), (i, i + 1))])
+    cases = []
+    for name, M, solves in (("real", real, (1, 1)), ("complex", complex_, (1, 1)),
+                            ("bipartite", path, (2, 1))):   # a spectrum symmetric about 0
+        cases.append((name, *as_action(M, example62(M.n)), solves))
+    for n in (300, 2200):
+        sb = example62(n)
+        eps, window = sb.epsilon_xx_star(), Truncation(None, sb.action_points)
+        cases.append((f"example62.{n}", eps, window, (1, 1)))
+        if n == 300:
+            negated = AlgebraElement(sb, [(s, -c) for s, c in eps.terms.items()])
+            cases.append(("negated", negated, window, (2, 1)))    # the bottom wins
+    sb = example62(300)
+    cases.append(("negative definite", AlgebraElement(sb, toeplitz_block(0, 300, QQi(-2), QQi(-1))),
+                  Truncation(None, range(300)), (2, 0)))
+    # free points around four blocks: spectra in (-1, 3), (-2, 2) and (-3, 1),
+    # where the last bottom comes within 1.6e-5 of the first top and its
+    # factor still rules it out, and a small dense block
+    small = banded_hermitian(rng, 4, 3)
+    terms = (toeplitz_block(2, 300, QQi(1), QQi(-1)) + toeplitz_block(305, 280, QQi(0), QQi(0, 1))
+             + toeplitz_block(586, 280, QQi(-1), QQi(1))
+             + [(Shift(i - j, 866 + j, 866 + j), c) for (i, j), c in small.entries.items()])
+    cases.append(("blocks", AlgebraElement(sb, terms), Truncation(None, range(872)), (3, 3)))
+    return cases
+
+
+@pytest.mark.parametrize("name, f, window, solves", norm_cases(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_hermitian_norm_is_bit_equal_to_both_ends_per_block(lapack_calls, name, f, window,
+                                                            solves):
+    M = action_matrix(f, window)
+    assert M.is_hermitian() and max(size for size, *_ in rep_module._blocks(M)[0]) > 256
+    lo, hi = per_block_extreme_eigvals(M)
+    lapack_calls.clear()
+    assert norm_lower_bound(f, window, rep="action") == max(-lo, hi)
+    assert tuple(map(lapack_calls.count, ("eig_banded", "cholesky_banded"))) == solves
+    if name == "negated":
+        assert -lo > hi
+    if name == "negative definite":
+        assert hi < 0
+
+
+def test_as_action_rebuilds_the_matrix():
+    M = banded_hermitian(random.Random(2), 40, 3)
+    f, window = as_action(M, example62(40))
+    assert action_matrix(f, window) == M
+
+
+def test_hermitian_norm_bisects_a_bottom_only_when_the_factor_fails(lapack_calls):
+    sb = example62(400)
+    norm_lower_bound(sb.epsilon_xx_star(), Truncation(None, sb.action_points), rep="action")
+    assert lapack_calls == ["eig_banded", "cholesky_banded"]
+    # b + b* has a spectrum symmetric about 0, so no factor rules out -lo
+    lapack_calls.clear()
+    norm_lower_bound(AlgebraElement(sb, [(sb.b, 1), (sb.star(sb.b), 1)]),
+                     Truncation(None, sb.action_points), rep="action")
+    assert lapack_calls == ["eig_banded", "cholesky_banded", "eig_banded"]
+
+
+@st.composite
+def entry_patterns(draw):
+    """(n, positions): random positions on n indices, some with a full
+    subdiagonal or one missing a single step; untouched indices are common."""
+    n = draw(st.integers(1, 40))
+    index = st.integers(0, n - 1)
+    positions = set(draw(st.lists(st.tuples(index, index), max_size=2 * n)))
+    if n > 1 and draw(st.booleans()):
+        gap = draw(st.sampled_from([None, *range(n - 1)]))
+        positions |= {(i + 1, i) for i in range(n - 1) if i != gap}
+    return n, sorted(positions)
+
+
+@settings(max_examples=60)
+@given(entry_patterns())
+def test_blocks_match_union_find_oracle(case):
+    n, positions = case
+    M = RepMatrix(n, {p: QQi(k + 1) for k, p in enumerate(positions)})
+    comps, free = union_find_blocks(n, positions)
+    blocks, got_free = rep_module._blocks(M)
+    assert got_free == free and [size for size, *_ in blocks] == list(map(len, comps))
+    z = M._floats()
+    for comp, (size, rows, cols, vals) in zip(comps, blocks):
+        local = {x: k for k, x in enumerate(comp)}
+        want = [(local[i], local[j], z[k])
+                for k, (i, j) in enumerate(zip(M.rows.tolist(), M.cols.tolist())) if i in local]
+        assert list(zip(rows.tolist(), cols.tolist(), vals.tolist())) == want
+    if n > 1 and all((i + 1, i) in positions for i in range(n - 1)):
+        assert len(blocks) == 1 and blocks[0][1] is M.rows    # taken as it stands
+
+
+def test_action_matrix_reads_a_range_as_the_list_it_stands_for():
+    rng = random.Random(31)
+    sb = example62(9)
+    for lo, n in ((0, 10), (-4, 7), (3, 1), (5, 0), (2 ** 63 - 3, 5)):
+        f = AlgebraElement(sb, [(Shift(rng.randint(-2, 2), p, p + rng.randint(0, 6)), rand_qqi(rng))
+                                for p in (lo + rng.randint(-2, 4) for _ in range(4))])
+        window = range(lo, lo + n)
+        M = action_matrix(f, window)
+        assert M == action_matrix(f, list(window)) == action_matrix(f, Truncation(None, window))
+        assert M.n == n
+    with pytest.raises(InputError):
+        action_matrix(sb.x, range(0, 20, 2))
+
+
+def test_action_matrix_refuses_a_window_past_the_cap():
+    # a range stands for any window without listing it, so these allocate nothing
+    cap = rep_module.MAX_ACTION_WINDOW
+    for window in (range(0, cap + 2), Truncation(None, range(-5, cap - 3)),
+                   range(0, 2 ** 70)):
+        with pytest.raises(InputError, match=f"past the action cap {cap}"):
+            action_matrix(example62(3).x, window)
+
+
+def test_truncation_keeps_a_range_and_answers_as_its_list():
+    window = range(-3, 50)
+    B, listed = Truncation(None, window), Truncation(None, list(window))
+    assert B.elements is window and len(B) == len(listed) == 53
+    for x in (-4, -3, 0, 49, 50, 2.5, "x"):
+        assert (x in B) == (x in listed) == (x in window)
+    assert B.index == listed.index == {x: k for k, x in enumerate(window)}
+    with pytest.raises(InputError, match="duplicate basis element 7"):
+        Truncation(None, [5, 7, 8, 7, 5])
 
 
 def test_psd_refute_large_br_square_is_not_refuted():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from invsemi import rep
+from invsemi.algebra import AlgebraElement
 from invsemi.core import PartialBijection
 from invsemi.errors import InputError
 from invsemi.families import Shift
@@ -561,9 +562,39 @@ def per_block_extreme_eigvals(M, picks=(0, -1)):
     blocks, free = rep._blocks(M)
     found = [[0.0] * bool(free) for _ in picks]
     for block in blocks:
-        for bucket, value in zip(found, rep._block_eigvals(*block, picks=picks)):
+        for bucket, value in zip(found, rep._block_eigvals(rep._lower(*block), picks)):
             bucket.append(value)
     return [min(b) if p == 0 else max(b) for p, b in zip(picks, found)]
+
+
+def union_find_blocks(n, positions):
+    """Connected components of the entry graph on 0..n-1, each a sorted index
+    list, ordered by smallest index, and the count of untouched indices: a
+    plain union-find with path halving, one edge at a time."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    touched = set()
+    for i, j in positions:
+        touched.update((i, j))
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    comps = {}
+    for i in sorted(touched):
+        comps.setdefault(find(i), []).append(i)
+    return list(comps.values()), n - len(touched)
+
+
+def as_action(M, ctx):
+    """(f, window) whose action matrix is M: one single-point shift
+    Shift(i - j, j, j) per entry (i, j), over the shift bundle `ctx`."""
+    terms = [(Shift(i - j, j, j), c) for (i, j), c in M.entries.items()]
+    return AlgebraElement(ctx, terms), rep.Truncation(None, range(M.n))
 
 
 # -- spectral certificates on the whole window -------------------------------
