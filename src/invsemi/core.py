@@ -19,7 +19,9 @@ SemigroupContext.
 On a table of n elements, each structure operation costs about n*k or n^2,
 where k is the size of a generating set: closure walks the right Cayley
 graph, Light's associativity test and the homomorphism test run over a
-generating set, and the group image unions each s with e*s.
+generating set, and the group image unions each s with e*s. The omega-cosets
+up(sH) of a subsemigroup H cost about n*|H|*|E|: each is a union of the
+idempotent preimages {x : x e = y}, listed once from the n*|E| cells x e.
 """
 
 from __future__ import annotations
@@ -246,22 +248,30 @@ class IXContext(SemigroupContext):
 # ---------------------------------------------------------------------------
 
 class FiniteInverseSemigroup(SemigroupContext):
-    """Product table + star table over elements 0..n-1, optional zero index."""
+    """Product table + star table over elements 0..n-1, optional zero index.
+
+    `validate` is the one check of a table document: it names each bad
+    cell, star entry or label by its JSON path under `path`.
+    """
+
+    path = "$"
 
     def __init__(self, table, star_table=None, zero=None, labels=None,
                  witnesses=None, check=True):
-        self.table = [list(row) for row in table]
+        # a row that is not an array is kept as it is, for validate to name
+        self.table = [list(row) if isinstance(row, (list, tuple)) else row
+                      for row in table]
         self.n = len(self.table)
+        if check:
+            _check_cells(self.table, self.n, f"{self.path}.table")
         if star_table is None:
-            if check:
-                _check_cells(self.table, self.n, "$.table")
             star_table = self._derive_star()
         self.star_table = list(star_table)
         self.zero = zero
         self.labels = list(labels) if labels else [f"s{i}" for i in range(self.n)]
         self.witnesses = witnesses
         if check:
-            self.validate()
+            self._check_structure()
 
     def __eq__(self, other):
         return (isinstance(other, FiniteInverseSemigroup)
@@ -336,16 +346,21 @@ class FiniteInverseSemigroup(SemigroupContext):
         searched for: a regular semigroup (star gives an inverse of every
         element) whose idempotents commute is inverse, so each one is unique.
         """
-        n = self.n
-        _check_cells(self.table, n, "$.table")
+        _check_cells(self.table, self.n, f"{self.path}.table")
+        self._check_structure()
+
+    def _check_structure(self):
+        """validate() on a table whose cells are checked."""
+        n, path = self.n, self.path
         if len(self.star_table) != n:
-            raise InputError(f"$.star: {len(self.star_table)} entries for {n} elements")
-        _check_index_list(self.star_table, n, "$.star")
+            raise InputError(f"{path}.star: {len(self.star_table)} entries for {n} elements")
+        _check_index_list(self.star_table, n, f"{path}.star")
         z = self.zero
         if z is not None and not (type(z) is int and 0 <= z < n):
-            raise InputError(f"$.zero: expected an element index in 0..{n - 1}, got {z!r}")
+            raise InputError(f"{path}.zero: expected an element index in 0..{n - 1}, got {z!r}")
         if len(self.labels) != n:
-            raise InputError(f"$.labels: {len(self.labels)} labels for {n} elements")
+            raise InputError(f"{path}.labels: {len(self.labels)} labels for {n} elements")
+        _check_labels(self.labels, f"{path}.labels")
         t = self.table
         bad = associativity_witness(t)
         if bad is not None:
@@ -378,9 +393,22 @@ def _check_index_list(values, n, path):
 def _check_cells(table, n, path):
     """The table is n x n and every cell is an element index."""
     for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            raise InputError(f"{path}[{i}]: expected an array of {n} cells, got {row!r}")
         if len(row) != n:
             raise InputError(f"{path}[{i}]: row has {len(row)} cells, expected {n}")
         _check_index_list(row, n, f"{path}[{i}]")
+
+
+def _check_labels(labels, path):
+    """Every label is a string and no two are equal."""
+    first = {}
+    for j, v in enumerate(labels):
+        if type(v) is not str:
+            raise InputError(f"{path}[{j}]: expected a string label, got {v!r}")
+        if v in first:
+            raise InputError(f"{path}[{j}]: label {v!r} already names element {first[v]}")
+        first[v] = j
 
 
 def _generating_set(t):
@@ -466,12 +494,10 @@ class GroupTable(FiniteInverseSemigroup):
     inverse are the semigroup's product and star.
     """
 
+    path = "$.group"
+
     def __init__(self, table, labels=None):
-        n = len(table)
-        _check_cells(table, n, "$.group.table")
-        if labels and len(labels) != n:
-            raise InputError(f"$.group.labels: {len(labels)} labels for {n} elements")
-        super().__init__(table, labels=labels or [f"g{i}" for i in range(n)])
+        super().__init__(table, labels=labels or [f"g{i}" for i in range(len(table))])
         idem = [e for e in range(self.n) if self.table[e][e] == e]
         if len(idem) != 1:
             raise InputError(f"{len(idem)} idempotents, a group has exactly one")
@@ -592,7 +618,12 @@ def materialize_context(ctx: SemigroupContext, elements, labels=None) -> FiniteI
     zero = None
     if ctx.zero is not None and ctx.zero in index:
         zero = index[ctx.zero]
-    return FiniteInverseSemigroup(table, star, zero=zero, labels=labels, witnesses=elems)
+    S = FiniteInverseSemigroup(table, star, zero=zero, witnesses=elems)
+    if labels:
+        # printed names, not a document's labels: a graph's edge ids 1 and
+        # "1" print alike, so these may repeat
+        S.labels = list(labels)
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +682,8 @@ def max_group_image(S: FiniteInverseSemigroup):
     # the quotient is read off the roots; validating it as a group lets the
     # homomorphism test prove sigma a congruence over generators alone
     qtable = [[sigma[S.table[r][u]] for u in roots] for r in roots]
-    G = GroupTable(qtable, labels=[S.labels[r] for r in roots])
+    G = GroupTable(qtable)
+    G.labels = [S.labels[r] for r in roots]     # S's names, repeats and all
     bad = homomorphism_witness(S.table, sigma.__getitem__, G)
     if bad is not None:
         raise OracleMismatch("group congruence not well defined", witness=bad)
@@ -680,55 +712,69 @@ def kernel_of(phi: Homomorphism) -> frozenset:
                      if phi(s) == phi.target.identity)
 
 
+def _idempotent_preimages(S: FiniteInverseSemigroup, E):
+    """pre[y] = [x : x e = y for some e in E], read off the |S|*|E| cells
+    x e in one pass; an x may be listed more than once."""
+    pre = [[] for _ in range(S.n)]
+    for x, row in enumerate(S.table):
+        for e in E:
+            pre[row[e]].append(x)
+    return pre
+
+
+def _up(pre, H) -> frozenset:
+    """up(H) = {x : x e in H for some idempotent e}, the union of pre[h]."""
+    return frozenset().union(*map(pre.__getitem__, H))
+
+
 def upward_closure(H, S: FiniteInverseSemigroup, E=None) -> frozenset:
     """{t : te in H for some idempotent e}; E defaults to idempotents(S)."""
     if E is None:
         E = idempotents(S)
-    Hset = frozenset(H)
-    t = S.table
-    return frozenset(x for x in S.elements()
-                     if any(t[x][e] in Hset for e in E))
+    return _up(_idempotent_preimages(S, E), frozenset(H))
 
 
-def _check_upward_closed_subsemigroup(H, S: FiniteInverseSemigroup, E):
-    Hset = frozenset(H)
+def _check_upward_closed_subsemigroup(Hset, S: FiniteInverseSemigroup, pre):
     for h in Hset:
         if S.star(h) not in Hset:
             raise InputError(f"subset not star-closed at {h}")
         for k in Hset:
             if S.product(h, k) not in Hset:
                 raise InputError(f"subset not product-closed at ({h},{k})")
-    up = upward_closure(Hset, S, E)
+    up = _up(pre, Hset)
     if up != Hset:
         raise NotUpwardClosed("subsemigroup is not upward closed",
                               witness=sorted(up - Hset))
 
 
 def omega_coset_diagnostic(H, S: FiniteInverseSemigroup) -> dict:
-    """All distinct up(sH) with a partition verdict; never raises on overlap."""
-    E = idempotents(S)
-    _check_upward_closed_subsemigroup(H, S, E)
-    cosets, seen = [], set()
-    for s in S.elements():
-        c = upward_closure({S.product(s, h) for h in H}, S, E)
-        if c not in seen:
-            seen.add(c)
-            cosets.append(c)
-    covered = frozenset().union(*cosets) if cosets else frozenset()
+    """All distinct up(sH) with a partition verdict; never raises on overlap.
+
+    The idempotent preimages are built once, so the cosets cost about
+    |S|*|H|*|E| cell reads. The overlap is the first pair (i, j), i < j, of
+    cosets that meet, found from which cosets hold each element.
+    """
+    Hset = frozenset(H)
+    pre = _idempotent_preimages(S, idempotents(S))
+    _check_upward_closed_subsemigroup(Hset, S, pre)
+    cosets = list(dict.fromkeys(_up(pre, {row[h] for h in Hset}) for row in S.table))
+    holders = {}
+    for i, c in enumerate(cosets):
+        for x in c:
+            holders.setdefault(x, []).append(i)
+    # cosets i < j meet when some element is held by both; the least such
+    # pair is the least of each element's first two holders
+    pairs = [held[:2] for held in holders.values() if len(held) > 1]
     overlap = None
-    for i in range(len(cosets)):
-        for j in range(i + 1, len(cosets)):
-            inter = cosets[i] & cosets[j]
-            if inter:
-                overlap = (i, j, sorted(inter))
-                break
-        if overlap:
-            break
+    if pairs:
+        i, j = min(pairs)
+        overlap = (i, j, sorted(cosets[i] & cosets[j]))
+    covers = len(holders) == S.n
     return {
         "cosets": [sorted(c) for c in cosets],
-        "covers": covered == frozenset(S.elements()),
+        "covers": covers,
         "overlap": overlap,
-        "is_partition": overlap is None and covered == frozenset(S.elements()),
+        "is_partition": overlap is None and covers,
     }
 
 

@@ -149,13 +149,13 @@ class SemigroupInput(LoadedInput):
             generators={"type": "array",
                         "items": {"type": "array",
                                   "items": {"type": "array", "minItems": 2, "maxItems": 2}}},
-            # cells are checked by FiniteInverseSemigroup.validate, which
-            # names the JSON path; one schema descent per cell costs more
-            # than the whole table check
-            table={"type": "array", "items": {"type": "array"}},
-            star={"type": "array", "items": {"type": "integer"}},
+            # rows, cells, star entries and labels are checked by
+            # FiniteInverseSemigroup.validate, which names each JSON path; a
+            # schema descent per row or entry costs more than that check
+            table={"type": "array"},
+            star={"type": "array"},
             zero={"type": ["integer", "null"]},
-            labels={"type": "array", "items": {"type": "string"}}),
+            labels={"type": "array"}),
         "oneOf": [{"required": ["generators"]}, {"required": ["table"]}],
     }
 
@@ -232,11 +232,9 @@ class BruckReillyInput(LoadedInput):
     kind = "bruck_reilly"
     schema = _schema(
         "bruck_reilly", ("group", "theta"),
+        # the group table and labels are checked by GroupTable, as above
         group={"type": "object",
-               "properties": {"table": {"type": "array",
-                                        "items": {"type": "array",
-                                                  "items": {"type": "integer"}}},
-                              "labels": {"type": "array", "items": {"type": "string"}}},
+               "properties": {"table": {"type": "array"}, "labels": {"type": "array"}},
                "required": ["table"]},
         theta={"type": "array", "items": {"type": "integer"}})
 

@@ -703,6 +703,53 @@ def test_float_group_table_cell_is_input_error(capsys, tmp_path):
     assert "$.group.table[0][1]" in err and "Traceback" not in err
 
 
+# rows, star entries and labels reach core unchecked by the schema; core
+# names each JSON path
+@pytest.mark.parametrize("doc, path", [
+    ({"kind": "semigroup", "table": [[0, 1], 5]}, "$.table[1]: expected an array"),
+    ({"kind": "semigroup", "table": [[0, 1], [1, 1]], "star": [0, True]}, "$.star[1]"),
+    ({"kind": "semigroup", "table": [[0, 1], [1, 1]], "star": [0.0, 1]}, "$.star[0]"),
+    ({"kind": "semigroup", "table": [[0, 1], [1, 1]], "labels": ["e", 7]},
+     "$.labels[1]: expected a string label"),
+    ({"kind": "semigroup", "table": [[0, 1], [1, 1]], "labels": [["e"], "f"]},
+     "$.labels[0]: expected a string label"),
+    (dict(BR_Z2_ID, group={"table": [[0, 1], "10"]}),
+     "$.group.table[1]: expected an array"),
+    (dict(BR_Z2_ID, group={"table": [[0, 1], [1, 0]], "labels": ["1", None]}),
+     "$.group.labels[1]: expected a string label"),
+])
+def test_malformed_table_document_names_its_path(capsys, tmp_path, doc, path):
+    code, out, err = run(capsys, ["idempotents"], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert path in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("idempotents", {"kind": "semigroup", "table": [[0, 1], [1, 1]], "labels": ["a", "a"]},
+     "$.labels[1]: label 'a' already names element 0"),
+    ("epsilon", dict(BR_Z2_ID, group={"table": [[0, 1], [1, 0]], "labels": ["g", "g"]},
+                     element={"terms": [[[0, "g", 0], "1"]]}),
+     "$.group.labels[1]: label 'g' already names element 0"),
+])
+def test_repeated_label_is_input_error(capsys, tmp_path, command, doc, message):
+    code, out, err = run(capsys, [command], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_graph_names_that_print_alike_are_not_labels(capsys, tmp_path):
+    # edge ids 1 and "1" are two edges whose element names coincide; the
+    # names only print, so the repeated-label check does not reject them
+    doc = {"kind": "graph", "vertices": ["u", "v"],
+           "edges": [{"id": 1, "src": "u", "rng": "v"}, {"id": "1", "src": "u", "rng": "v"}]}
+    code, out, _ = run(capsys, ["max-group-image"], doc, tmp_path)
+    assert code == 0
+    names = [s for s, _ in json.loads(out)["sigma"]]
+    assert len(names) == 11 and names.count("(@u|1)") == 2
+
+
 @pytest.mark.parametrize("command, fixture, kind", [
     ("orthogonality", "br_z2_id", "graph"),
     ("factorize", "toeplitz_z2", "graph"),

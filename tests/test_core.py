@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from invsemi.core import (
@@ -23,8 +25,9 @@ from invsemi.core import (
     upward_closure,
 )
 from invsemi.errors import CapExceeded, InputError, NotUpwardClosed
+from invsemi.jsonio import list_fixtures, load_fixture
 
-from util import raw_closure
+from util import pairwise_omega_coset_diagnostic, raw_closure, scanned_upward_closure
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -268,7 +271,145 @@ def test_omega_coset_chain_overlap_diagnostic():
     diag = omega_coset_diagnostic({0}, S)
     assert diag["cosets"] == [[0], [0, 1]]
     assert not diag["is_partition"]
-    assert diag["overlap"] is not None
+    assert diag["overlap"] == (0, 1, [0])
+
+
+def _cycle(points):
+    return {p: points[(i + 1) % len(points)] for i, p in enumerate(points)}
+
+
+def _swap(points):
+    return {p: points[1] if p == points[0] else points[0] if p == points[1] else p
+            for p in points}
+
+
+def _copies(perm, blocks):
+    """`perm` acting in parallel on `blocks` disjoint copies of its points."""
+    size = len(perm)
+    return {p + size * b: perm[p] + size * b for b in range(blocks) for p in perm}
+
+
+def _close(*maps):
+    return close_generators([PartialBijection(m) for m in maps])
+
+
+def s4_clifford_triple():
+    """S_4 on three nested copies of four points: 72 elements, 3 idempotents."""
+    p = list(range(4))
+    return _close(_copies(_swap(p), 3), _copies(_cycle(p), 3),
+                  {x: x for x in range(8)}, {x: x for x in p})
+
+
+def s5_clifford_double():
+    """S_5 on two copies of five points and on the first: 240 elements."""
+    p = list(range(5))
+    return _close(_copies(_swap(p), 2), _copies(_cycle(p), 2), {x: x for x in p})
+
+
+def symmetric_inverse_monoid_3():
+    """I_3: 34 partial bijections of three points."""
+    return _close(_swap([0, 1, 2]), _cycle([0, 1, 2]), {0: 0, 1: 1})
+
+
+def _inverse_closure(S, gens):
+    """The inverse subsemigroup of S generated by `gens`."""
+    H = set(gens) | {S.star(g) for g in gens}
+    while True:
+        more = {S.product(a, b) for a in H for b in H} - H
+        if not more:
+            return frozenset(H)
+        H |= more
+
+
+def _subsemigroups(S, rng=None, count=None):
+    """Kernel, E(S), S, the empty set (the one H whose cosets do not cover
+    S), and <X> and up(<X>) for each X = {x} (or for `count` random X of one
+    or two elements); <X> need not be upward closed."""
+    E = idempotents(S)
+    G, sigma = S.group_image
+    out = [frozenset(s for s in S.elements() if sigma[s] == G.identity),
+           frozenset(E), frozenset(S.elements()), frozenset()]
+    seeds = ([(x,) for x in S.elements()] if rng is None else
+             [rng.sample(range(S.n), min(rng.choice([1, 2]), S.n)) for _ in range(count)])
+    for gens in seeds:
+        H = _inverse_closure(S, gens)
+        out += [H, scanned_upward_closure(H, S, E)]
+    return out
+
+
+def _outcome(diagnostic, H, S):
+    try:
+        return diagnostic(H, S)
+    except (InputError, NotUpwardClosed) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+def _random_semigroup(rng):
+    points = rng.choice([3, 4])
+    maps = []
+    for _ in range(rng.choice([1, 2])):
+        image = rng.sample(range(points), points)
+        maps.append({x: image[x] for x in range(points) if rng.random() < 0.8})
+    return _close(*maps)
+
+
+_OMEGA_CASES = {"clifford_chain_z2": lambda: clifford_chain_z2()[0],
+                "chain_semilattice": chain_semilattice,
+                "s4_clifford_triple": s4_clifford_triple,
+                "i3": symmetric_inverse_monoid_3}
+_SEMIGROUP_FIXTURES = [f for f in list_fixtures() if load_fixture(f).kind == "semigroup"]
+
+
+@pytest.mark.parametrize("name", [*_SEMIGROUP_FIXTURES, *_OMEGA_CASES])
+def test_omega_cosets_match_pairwise_oracle(name):
+    S = _OMEGA_CASES[name]() if name in _OMEGA_CASES else load_fixture(name).structure
+    for H in _subsemigroups(S):
+        assert _outcome(omega_coset_diagnostic, H, S) == \
+            _outcome(pairwise_omega_coset_diagnostic, H, S)
+
+
+def test_omega_cosets_match_pairwise_oracle_on_random_semigroups():
+    rng = random.Random(29)
+    overlaps = partitions = 0
+    for _ in range(40):
+        S = _random_semigroup(rng)
+        for H in _subsemigroups(S, rng, count=8):
+            got = _outcome(omega_coset_diagnostic, H, S)
+            assert got == _outcome(pairwise_omega_coset_diagnostic, H, S)
+            if isinstance(got, dict):
+                overlaps += got["overlap"] is not None
+                partitions += got["is_partition"]
+    # both verdicts occur, so the overlap triple is compared element for element
+    assert overlaps >= 20 and partitions >= 20
+
+
+class _CountingRow(list):
+    """A table row that adds the cells read from it to `reads[0]`."""
+
+    def __init__(self, row, reads):
+        super().__init__(row)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads[0] += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.reads[0] += len(self)
+        return super().__iter__()
+
+
+def test_omega_cosets_read_each_cell_a_bounded_number_of_times():
+    S = s5_clifford_double()
+    G, sigma = S.group_image
+    H = {s for s in S.elements() if sigma[s] == G.identity}
+    E = idempotents(S)
+    assert (S.n, len(E), len(H), G.n) == (240, 2, 2, 120)
+    reads = [0]
+    S.table = [_CountingRow(row, reads) for row in S.table]
+    assert omega_coset_diagnostic(H, S)["is_partition"]
+    # a scanned closure per element reads |S|^2 |E| = 115200 cells
+    assert reads[0] < 4 * S.n * (len(E) + len(H))
 
 
 def test_omega_coset_partition_for_kernel():

@@ -10,8 +10,8 @@ import numpy as np
 
 from invsemi import rep
 from invsemi.algebra import AlgebraElement
-from invsemi.core import PartialBijection
-from invsemi.errors import InputError
+from invsemi.core import PartialBijection, idempotents
+from invsemi.errors import InputError, NotUpwardClosed
 from invsemi.families import Shift
 from invsemi.graphs import enumerate_pairs, graph_grading
 from invsemi.rep import RepMatrix
@@ -401,6 +401,41 @@ def per_g_coaction_check(grading, B, group_window, T) -> dict:
                                        "got": str(got), "want": str(want)})
     return {"checked": checked, "skipped": skipped, "zero_cases": zero_cases,
             "violations": violations, "ok": not violations}
+
+
+# -- omega-cosets as one upward closure per element --------------------------
+
+def scanned_upward_closure(H, S, E) -> frozenset:
+    """{x : x e in H for some idempotent e}, each element against each e."""
+    Hset = frozenset(H)
+    return frozenset(x for x in S.elements() if any(S.table[x][e] in Hset for e in E))
+
+
+def pairwise_omega_coset_diagnostic(H, S) -> dict:
+    """`core.omega_coset_diagnostic` as one scanned closure per element and a
+    pairwise search for the first two cosets that meet."""
+    E = idempotents(S)
+    Hset = frozenset(H)
+    for h in Hset:
+        if S.star(h) not in Hset:
+            raise InputError(f"subset not star-closed at {h}")
+        for k in Hset:
+            if S.product(h, k) not in Hset:
+                raise InputError(f"subset not product-closed at ({h},{k})")
+    up = scanned_upward_closure(Hset, S, E)
+    if up != Hset:
+        raise NotUpwardClosed("subsemigroup is not upward closed", witness=sorted(up - Hset))
+    cosets = []
+    for s in S.elements():
+        c = scanned_upward_closure({S.product(s, h) for h in Hset}, S, E)
+        if c not in cosets:
+            cosets.append(c)
+    overlap = next(((i, j, sorted(cosets[i] & cosets[j]))
+                    for i in range(len(cosets)) for j in range(i + 1, len(cosets))
+                    if cosets[i] & cosets[j]), None)
+    covers = frozenset().union(*cosets) == frozenset(S.elements())
+    return {"cosets": [sorted(c) for c in cosets], "covers": covers,
+            "overlap": overlap, "is_partition": overlap is None and covers}
 
 
 # -- regular representation identities, one basis vector at a time ----------
