@@ -49,6 +49,13 @@ S00_0 = {"mu": [0, 0], "nu": [0]}
 SS = {"mu": [0], "nu": [0]}
 # b* in shift_window5
 SHIFT_B_STAR = {"map": [[k + 1, k] for k in range(6)]}
+# br_z2_id terms over the idempotents (m, 1, m) and the (m, g, m), exact
+# and float
+BR_REPEATS = [[[0, "1", 0], "1"], [[1, "1", 1], "-1"], [[2, "1", 2], "2"], [[3, "1", 3], "-2"],
+              [[0, "g", 0], "1/2"], [[1, "g", 1], "1/4"], [[2, "g", 2], "-3/4"]]
+BR_REPEATS_FLOAT = [[[0, "1", 0], 0.1], [[1, "1", 1], 0.2], [[2, "1", 2], -0.3],
+                    [[3, "1", 3], 0.4], [[0, "g", 0], 0.5], [[1, "g", 1], 0.25],
+                    [[2, "g", 2], -0.75]]
 
 # (command, fixture, payload name, fields added to the fixture document):
 # one fixture per structure kind
@@ -150,6 +157,18 @@ PAYLOADS = [
         [[2, "g", 1], -0.5], [[3, "1", 2], 2.0], [[2, "g", 1], 0.25])}),
     ("factorize", "bouquet1", "float", {"s": [[0, 1]], "t": [], "element": _terms(
         [{"mu": [0], "nu": [], "vertex": "v"}, "2"], [S00_0, -0.5])}),
+    # repeated matrix positions: (m, 1, m) fixes (i, c, j) for every m <= i,
+    # and (m, g, m) moves it to (i, gc, j), so runs of up to three terms
+    # share their prefixes; 1 + (-1) passes through zero, and 1/2 + 1/4 +
+    # (-3/4) cancels. The norm bounds add (1, g, 0), so their matrix is not
+    # Hermitian and its Gram product repeats positions too.
+    ("psd", "br_z2_id", "repeats", {"element": _terms(*BR_REPEATS)}),
+    ("psd", "br_z2_id", "repeats_rho", {"rep": "rho", "element": _terms(*BR_REPEATS)}),
+    ("norm-bound", "br_z2_id", "repeats", {"element": _terms(
+        *BR_REPEATS, [[1, "g", 0], "1"])}),
+    ("psd", "br_z2_id", "repeats_float", {"element": _terms(*BR_REPEATS_FLOAT)}),
+    ("norm-bound", "br_z2_id", "repeats_float", {"rep": "rho", "element": _terms(
+        *BR_REPEATS_FLOAT, [[1, "g", 0], 0.5])}),
 ]
 
 # the graded scans at L = 3, where most pairs multiply to zero; each one
