@@ -30,8 +30,7 @@ from .errors import InputError, MathAssertionError
 from .families import example62, quasi_lattice_check, tq_oracle_check
 from .graphs import fiber_word_legs, orthogonality_check, semisaturation_factorize
 from .jsonio import LoadedInput, dump_report, load_fixture, load_input
-from .rep import (Truncation, action_matrix, coaction_unitary_check, min_eig,
-                  norm_lower_bound, psd_refute)
+from .rep import Truncation, coaction_unitary_check, norm_lower_bound, psd_refute
 from .words import word_from_json, word_to_json
 
 _RANDOMIZED = {"toeplitz-oracle", "report"}
@@ -255,17 +254,14 @@ def cmd_example62(li, args):
     n = args.window
     sb = example62(n)
     eps = sb.epsilon_xx_star()
-    M = action_matrix(eps, sb.action_points)
-    value = min_eig(M)
-    closed = 1 - 2 * math.cos(math.pi / (n + 2))
-    refuted = value < -1e-9 * (n + 1)
+    cert = psd_refute(eps, Truncation(None, sb.action_points), rep="action")
     return {"window": n,
             "points": n + 1,
             "epsilon_terms": len(eps),
             "epsilon_coefficient_exact": eps.is_exact(),
-            "min_eig": value,
-            "closed_form": closed,
-            "verdict": "not positive in ℂH" if refuted
+            "min_eig": cert["value"],
+            "closed_form": 1 - 2 * math.cos(math.pi / (n + 2)),
+            "verdict": "not positive in ℂH" if cert["refuted"]
                        else "no refutation at this window"}
 
 

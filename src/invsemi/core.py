@@ -542,7 +542,8 @@ def close_generators(gens, carrier=None, cap=20000) -> FiniteInverseSemigroup:
     elements and k seeds. Every other table column follows from the graph: if
     b = p*g then a*b = (a*p)*g, one lookup per cell. Returns the tabulated
     semigroup; the empty map becomes the zero when it arises. Raises
-    CapExceeded past `cap` elements.
+    CapExceeded past `cap` elements, and InputError when two elements get
+    one `pb_label`.
     """
     gens = list(gens)
     if not gens:
@@ -589,8 +590,14 @@ def close_generators(gens, carrier=None, cap=20000) -> FiniteInverseSemigroup:
         cols.append(list(map(right[step[b]].__getitem__, cols[parent[b]])))
     star = [index[a.inverse()] for a in elems]
     zero = index.get(EMPTY_PB)
-    labels = [pb_label(p) for p in elems]
-    return FiniteInverseSemigroup(zip(*cols), star, zero=zero, labels=labels,
+    # labels name elements in documents, so points that print alike (1 and
+    # "1", or "1,2" against 1 and 2) must not give two maps one name
+    named = {}
+    for pb in elems:
+        label = pb_label(pb)
+        if named.setdefault(label, pb) is not pb:
+            raise InputError(f"label {label!r} names two maps: {named[label]!r} and {pb!r}")
+    return FiniteInverseSemigroup(zip(*cols), star, zero=zero, labels=list(named),
                                   witnesses=elems, check=False)
 
 

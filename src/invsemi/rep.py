@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -122,37 +122,26 @@ class RepMatrix:
         order = np.argsort(rows * n + cols, kind="stable")
         keys, vids = (rows * n + cols)[order], vids[order]
         start = np.flatnonzero(np.diff(keys, prepend=-1))
-        ends = np.append(start[1:], len(keys))
-        # equal runs of ids share one sum: the distinct runs of each length,
-        # summed in insertion order and appended in the order they first appear
-        lengths = ends - start
-        multi = np.flatnonzero(lengths > 1)
-        lengths = lengths[multi]    # frees the array over every position
-        by_size = np.argsort(lengths, kind="stable")
-        multi = multi[by_size]
-        sizes, cuts = np.unique(lengths[by_size], return_index=True)
-        run_of, runs, firsts = np.empty(len(multi), dtype=np.int64), [], []
-        for size, lo, at in zip(sizes.tolist(), cuts.tolist(), np.split(multi, cuts[1:])):
-            grid = vids[start[at, None] + np.arange(size)]
-            perm = np.lexsort(grid.T[::-1])     # rows in lexicographic order, stably
-            grid = grid[perm]
-            new = np.ones(len(at), dtype=bool)
-            new[1:] = (grid[1:] != grid[:-1]).any(axis=1)
-            run_of[lo + perm] = len(runs) + np.cumsum(new) - 1
-            runs += grid[new].tolist()
-            firsts += at[perm[new]].tolist()
-        by_first = np.argsort(np.array(firsts, dtype=np.int64))
-        summed, values = vids[start], list(values)
-        summed[multi] = len(values) + np.argsort(by_first)[run_of]
-        values += [reduce(operator.add, map(values.__getitem__, runs[k]))
-                   for k in by_first.tolist()]
-        table = {}
-        canon = np.array([table.setdefault((is_exact(c), c), len(table)) if c else -1
-                          for c in values], dtype=np.int64)[summed]
+        lengths = np.diff(start, append=len(keys))
+        # fold the runs left to right: step k adds the k-th value of every run
+        # longer than k to its partial sum, each distinct (sum, value) pair once
+        summed, values, width = vids[start], list(values), len(values)
+        live = np.arange(len(start))
+        for k in range(1, lengths.max(initial=1)):
+            live = live[lengths[live] > k]
+            pairs, ids = np.unique(summed[live] * width + vids[start[live] + k],
+                                   return_inverse=True)
+            summed[live] = len(values) + ids
+            values += [values[p // width] + values[p % width] for p in pairs.tolist()]
+        # one id per distinct nonzero value that some position holds
+        held = np.zeros(len(values), dtype=bool)
+        held[summed] = True
+        table, canon = {}, np.full(len(values), -1, dtype=np.int64)
+        canon[held] = [table.setdefault((is_exact(c), c), len(table)) if c else -1
+                       for c in map(values.__getitem__, np.flatnonzero(held).tolist())]
+        canon = canon[summed]
         keep = canon >= 0
-        used, self.vids = np.unique(canon[keep], return_inverse=True)
-        distinct = [c for _, c in table]
-        self.values = [distinct[u] for u in used.tolist()]
+        self.vids, self.values = canon[keep], [c for _, c in table]
         kept = order[start[keep]]
         self.n, self.rows, self.cols = n, rows[kept], cols[kept]
         self.dropped, self._entries = dropped, None

@@ -640,6 +640,28 @@ def test_generators_with_mixed_point_types_are_input_error(capsys, tmp_path, com
     assert "must be comparable" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["idempotents", "order"])
+@pytest.mark.parametrize("generators, label", [
+    ([[[1, 1]], [["1", "1"]]], "id{1}"),
+    ([[["1,2", "1,2"]], [[1, 1], [2, 2]]], "id{1,2}"),
+])
+def test_generators_whose_maps_print_alike_are_input_error(capsys, tmp_path, command,
+                                                          generators, label):
+    doc = {"kind": "semigroup", "generators": generators, "elements": [label, label]}
+    code, out, err = run(capsys, [command], doc, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert f"label {label!r} names two maps: PartialBijection(" in err
+    assert "Traceback" not in err
+
+
+def test_generators_over_a_mixed_carrier_that_prints_apart(capsys, tmp_path):
+    doc = {"kind": "semigroup", "generators": [[[1, 1]], [["a", "a"]]]}
+    code, out, _ = run(capsys, ["idempotents"], doc, tmp_path)
+    assert code == 0
+    assert json.loads(out)["idempotents"] == ["id{1}", "id{a}"]
+
+
 @pytest.mark.parametrize("cell", ["x", 1.5, True, 1.0])
 def test_non_index_table_cell_is_input_error(capsys, tmp_path, cell):
     doc = {"kind": "semigroup", "table": [[0, 1], [1, cell]]}

@@ -630,6 +630,21 @@ def test_action_matrix_refuses_a_window_past_the_cap():
             action_matrix(example62(3).x, window)
 
 
+def test_action_matrix_sorts_no_array_as_long_as_its_entries(monkeypatch):
+    # positions are sorted once; summing repeats and compacting values must
+    # not sort one key per entry again
+    sb = example62(10 ** 5)
+    eps, seen = sb.epsilon_xx_star(), []
+    for name in ("unique", "lexsort"):
+        def spy(a, *args, _call=getattr(np, name), **kwargs):
+            seen.append(np.shape(a)[-1] if np.ndim(a) else 1)
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+    M = action_matrix(eps, sb.action_points)
+    assert len(M.vids) > 3 * 10 ** 5 - 10
+    assert max(seen, default=0) < len(M.vids)
+
+
 def test_truncation_keeps_a_range_and_answers_as_its_list():
     window = range(-3, 50)
     B, listed = Truncation(None, window), Truncation(None, list(window))
@@ -794,6 +809,41 @@ def test_repmatrix_storage_matches_dict_oracle(case):
         assert err.value.witness == bad[0]
     else:
         assert abs(min_eig(M) - np.linalg.eigvalsh(dense)[0]) < 1e-9
+
+
+@st.composite
+def shared_coo(draw):
+    """COO input whose value ids repeat across positions, which the dict
+    constructor never makes: runs that share prefixes, pass through zero or
+    cancel, over exact and float values."""
+    values = draw(st.lists(st.sampled_from(
+        [QQi(1), QQi(-1), QQi(2), QQi(0), QQi("1/2", 1), complex(0.1), complex(0.2),
+         complex(-0.3), complex(1 / 3, -1)]), min_size=1, max_size=6))
+    n = draw(st.integers(1, 4))
+    coo = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                  st.integers(0, len(values) - 1)), max_size=40))
+    return n, coo, values
+
+
+@settings(max_examples=60)
+@given(shared_coo())
+@example((2, [(0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1),
+              (0, 1, 2), (0, 1, 3), (1, 0, 4), (1, 0, 5), (1, 0, 6), (1, 0, 4)],
+          [QQi(1), QQi(-1), QQi(2), QQi(-2), complex(0.1), complex(0.2), complex(-0.3)]))
+def test_from_coo_sums_shared_ids_left_to_right(case):
+    n, coo, values = case
+    M = RepMatrix._from_coo(n, [i for i, _, _ in coo], [j for _, j, _ in coo],
+                            [v for _, _, v in coo], values)
+    want = {}
+    for i, j, v in coo:
+        want[i, j] = want[i, j] + values[v] if (i, j) in want else values[v]
+    want = {key: c for key, c in sorted(want.items()) if c}
+    assert list(M.entries) == list(want)
+    # float sums keep their bits: same order, same additions
+    assert [(is_exact(c), repr(c)) for c in M.entries.values()] == \
+        [(is_exact(c), repr(c)) for c in want.values()]
+    assert sorted(set(M.vids.tolist())) == list(range(len(M.values)))
+    assert len({(is_exact(c), c) for c in M.values}) == len(M.values)
 
 
 REAL_VALUE = st.one_of(st.builds(QQi, SMALL), st.floats(-2, 2).map(complex)).filter(bool)
