@@ -135,7 +135,7 @@ def cmd_max_group_image(li, args):
     S = li.structure.finite_semigroup()
     G, sigma = S.group_image
     return {"order": G.n,
-            "group_table": G.table,
+            "group_table": G.table.tolist(),
             "group_labels": G.labels,
             "sigma": [[S.labels[s], G.labels[sigma[s]]] for s in S.elements()],
             "e_unitary": is_e_unitary(S)}

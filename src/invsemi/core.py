@@ -30,6 +30,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import (
     CapExceeded,
     InputError,
@@ -82,8 +84,6 @@ class SemigroupContext:
         array with one code per listed b: the position of a b in the list,
         -1 when a b is not listed (it leaves the list), and -2 when b is
         outside the domain of a, that is a*a b != b."""
-        import numpy as np
-
         index = {e: i for i, e in enumerate(elements)}
 
         def act(a):
@@ -247,46 +247,72 @@ class IXContext(SemigroupContext):
 # tabulated semigroups and groups
 # ---------------------------------------------------------------------------
 
+# Light's test gathers this many cells at a time, so its scratch stays small
+# next to the table
+_BLOCK_CELLS = 1 << 22
+
+
+def _index_dtype(n):
+    return np.int16 if n < 2 ** 15 else np.int32
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 class FiniteInverseSemigroup(SemigroupContext):
     """Product table + star table over elements 0..n-1, optional zero index.
 
-    `validate` is the one check of a table document: it names each bad
-    cell, star entry or label by its JSON path under `path`.
+    `table` is one read-only n x n integer array (int16 below 2^15 elements,
+    else int32) and `star_table` a read-only array of n indices; every
+    whole-table step is an array step. `product` and `star` read a list
+    view, built on the first scalar read, since a list cell reads faster
+    than an array cell. `validate` is the one check of a table document: it
+    names each bad cell, star entry or label by its JSON path under `path`.
     """
 
     path = "$"
 
     def __init__(self, table, star_table=None, zero=None, labels=None,
                  witnesses=None, check=True):
-        # a row that is not an array is kept as it is, for validate to name
-        self.table = [list(row) if isinstance(row, (list, tuple)) else row
-                      for row in table]
-        self.n = len(self.table)
-        if check:
-            _check_cells(self.table, self.n, f"{self.path}.table")
+        self.table = _table_array(table, f"{self.path}.table" if check else None)
+        self.n = n = len(self.table)
         if star_table is None:
             star_table = self._derive_star()
-        self.star_table = list(star_table)
+        elif check:
+            if len(star_table) != n:
+                raise InputError(f"{self.path}.star: {len(star_table)} entries for {n} elements")
+            _check_index_list(star_table, n, f"{self.path}.star")
+        self.star_table = _frozen(np.asarray(star_table, dtype=_index_dtype(n)))
         self.zero = zero
-        self.labels = list(labels) if labels else [f"s{i}" for i in range(self.n)]
+        self.labels = list(labels) if labels else [f"s{i}" for i in range(n)]
         self.witnesses = witnesses
         if check:
             self._check_structure()
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteInverseSemigroup)
-                and self.table == other.table
-                and self.star_table == other.star_table
-                and self.zero == other.zero)
+        return other is self or (isinstance(other, FiniteInverseSemigroup)
+                                 and np.array_equal(self.table, other.table)
+                                 and np.array_equal(self.star_table, other.star_table)
+                                 and self.zero == other.zero)
 
     def __hash__(self):
-        return hash((tuple(map(tuple, self.table)), tuple(self.star_table)))
+        return hash((self.table.tobytes(), self.star_table.tobytes()))
 
     @property
     def zero_index(self):
         """The zero's index, or None: a read-only alias of `zero`, which
         perfbench/structure.py reads."""
         return self.zero
+
+    @functools.cached_property
+    def _rows(self):
+        return self.table.tolist()
+
+    @functools.cached_property
+    def _stars(self):
+        return self.star_table.tolist()
 
     def elements(self):
         return range(self.n)
@@ -299,6 +325,19 @@ class FiniteInverseSemigroup(SemigroupContext):
         """(G, sigma), the maximum group image, computed on first use."""
         return max_group_image(self)
 
+    @functools.cached_property
+    def e_unitary_witness(self):
+        """First non-idempotent in the kernel of `group_image`, or None: one
+        mask, computed on first use."""
+        G, sigma = self.group_image
+        bad = (np.array(sigma) == G.identity) & (self.table.diagonal() != np.arange(self.n))
+        return int(bad.argmax()) if bad.any() else None
+
+    @functools.cached_property
+    def _reach(self):
+        """The greedy generating set of the table and its reach steps."""
+        return _generating_set(self.table)
+
     def grading(self) -> Grading:
         G, sigma = self.group_image
         return Grading(self, G, sigma.__getitem__)
@@ -310,10 +349,10 @@ class FiniteInverseSemigroup(SemigroupContext):
         return self
 
     def product(self, a, b):
-        return self.table[a][b]
+        return self._rows[a][b]
 
     def star(self, a):
-        return self.star_table[a]
+        return self._stars[a]
 
     def label_index(self, label):
         try:
@@ -326,17 +365,18 @@ class FiniteInverseSemigroup(SemigroupContext):
         for each generator g, and each reached s = p g gets s* = g* p*.
         validate() proves the result; on a table that is not inverse it
         fails there, or here when a generator's inverse is not unique."""
-        t = self.table
-        gens, steps = _generating_set(t)
-        star = [None] * self.n
-        for g in gens:
-            found = [x for x in range(self.n) if t[t[g][x]][g] == g and t[t[x][g]][x] == x]
-            if len(found) != 1:
-                raise InputError(
-                    f"element {g} has {len(found)} generalized inverses, expected 1")
-            star[g] = found[0]
+        T = self.table
+        gens, steps = self._reach
+        g, every = np.array(gens, dtype=np.intp), np.arange(self.n)
+        # x is an inverse of g when g x g = g and x g x = x
+        inverse = (T[T[g], g[:, None]] == g[:, None]) & (T[T[:, g].T, every] == every)
+        star = [0] * self.n
+        for g, count, x in zip(gens, inverse.sum(axis=1).tolist(), inverse.argmax(axis=1).tolist()):
+            if count != 1:
+                raise InputError(f"element {g} has {count} generalized inverses, expected 1")
+            star[g] = x
         for s, p, g in steps:
-            star[s] = t[star[g]][star[p]]
+            star[s] = T.item(star[g], star[p])
         return star
 
     def validate(self):
@@ -346,43 +386,58 @@ class FiniteInverseSemigroup(SemigroupContext):
         searched for: a regular semigroup (star gives an inverse of every
         element) whose idempotents commute is inverse, so each one is unique.
         """
-        _check_cells(self.table, self.n, f"{self.path}.table")
+        _table_array(self.table, f"{self.path}.table")
+        if len(self.star_table) != self.n:
+            raise InputError(f"{self.path}.star: {len(self.star_table)} entries "
+                             f"for {self.n} elements")
+        _check_index_list(self.star_table, self.n, f"{self.path}.star")
         self._check_structure()
 
     def _check_structure(self):
-        """validate() on a table whose cells are checked."""
+        """validate() on a table whose cells and star entries are checked."""
         n, path = self.n, self.path
-        if len(self.star_table) != n:
-            raise InputError(f"{path}.star: {len(self.star_table)} entries for {n} elements")
-        _check_index_list(self.star_table, n, f"{path}.star")
         z = self.zero
         if z is not None and not (type(z) is int and 0 <= z < n):
             raise InputError(f"{path}.zero: expected an element index in 0..{n - 1}, got {z!r}")
         if len(self.labels) != n:
             raise InputError(f"{path}.labels: {len(self.labels)} labels for {n} elements")
         _check_labels(self.labels, f"{path}.labels")
-        t = self.table
-        bad = associativity_witness(t)
+        T, star = self.table, self.star_table
+        bad = associativity_witness(T, self._reach[0])
         if bad is not None:
             raise InputError(f"not associative at {bad}")
-        for s in range(n):
-            st = self.star_table[s]
-            if t[t[s][st]][s] != s or t[t[st][s]][st] != st:
-                raise InputError(f"star table wrong at {s}")
-            if self.star_table[st] != s:
-                raise InputError(f"star not involutive at {s}")
-        idem = [e for e in range(n) if t[e][e] == e]
-        for e in idem:
-            for f in idem:
-                if t[e][f] != t[f][e]:
-                    raise InputError(f"idempotents {e},{f} do not commute")
+        every = np.arange(n, dtype=T.dtype)
+        # s s* s = s and s** = s for all s give s* s s* = s* too; on a
+        # failure, the first s that fails any of the three is named
+        if (_first_difference(T[T[every, star], every], every) >= 0
+                or _first_difference(star[star], every) >= 0):
+            for s, st in enumerate(star.tolist()):
+                if T[T[s, st], s] != s or T[T[st, s], st] != st:
+                    raise InputError(f"star table wrong at {s}")
+                if star[st] != s:
+                    raise InputError(f"star not involutive at {s}")
+        idem = (T.diagonal() == every).nonzero()[0]
+        TE = T[idem[:, None], idem]
+        clash = _first_difference(TE, TE.T)
+        if clash >= 0:
+            e, f = idem[list(divmod(clash, len(idem)))].tolist()
+            raise InputError(f"idempotents {e},{f} do not commute")
         # an absorbing zero passed the star check only if z* = z* z z* = z
-        if z is not None and any(t[z][s] != z or t[s][z] != z for s in range(n)):
+        if z is not None and not ((T[z] == z).all() and (T[:, z] == z).all()):
             raise InputError("declared zero is not absorbing")
+
+
+def _first_difference(a, b):
+    """The first flat index at which the equal-shaped arrays a and b differ,
+    or -1."""
+    differ = a != b
+    return int(differ.argmax()) if np.count_nonzero(differ) else -1
 
 
 def _check_index_list(values, n, path):
     """Every entry of `values` is an int in 0..n-1 (bool and float rejected)."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     if not values or set(map(type, values)) == {int} and 0 <= min(values) and max(values) < n:
         return
     for j, v in enumerate(values):
@@ -400,6 +455,36 @@ def _check_cells(table, n, path):
         _check_index_list(row, n, f"{path}[{i}]")
 
 
+def _table_array(table, path=None):
+    """The square table as a read-only index array, kept as it is when it
+    already is one.
+
+    Given a path, every row and cell is checked: the cell types in Python
+    (a bool or float cell is rejected) and their range in numpy. Only when
+    that fails does the row-by-row scan run, to name the first bad row or
+    cell under the path.
+    """
+    n = len(table)
+    dtype = _index_dtype(n)
+    if path is not None:
+        if isinstance(table, np.ndarray):
+            fine = table.shape == (n, n) and table.dtype.kind in "iu"
+        else:
+            fine = (all(isinstance(row, (list, tuple)) and len(row) == n for row in table)
+                    and set().union(*[set(map(type, row)) for row in table]) <= {int})
+            if fine:
+                try:
+                    table = np.array(table, dtype=dtype)
+                except OverflowError:
+                    fine = False
+        # read as unsigned, a negative cell is past every n
+        fine = fine and (not n or table.view(f"u{table.itemsize}").max() < n)
+        if not fine:
+            rows = table.tolist() if isinstance(table, np.ndarray) else table
+            _check_cells(rows, n, path)
+    return _frozen(np.asarray(table, dtype=dtype).reshape(n, n))
+
+
 def _check_labels(labels, path):
     """Every label is a string and no two are equal."""
     first = {}
@@ -411,8 +496,8 @@ def _check_labels(labels, path):
         first[v] = j
 
 
-def _generating_set(t):
-    """A greedy generating set of the magma with product table t, and how
+def _generating_set(T):
+    """A greedy generating set of the magma with product table T, and how
     each other element was reached.
 
     Scans elements in index order; one not yet reached becomes a generator,
@@ -421,67 +506,84 @@ def _generating_set(t):
     (...((g1 g2) g3)...) gk of generators. Returns the generators and, in
     reach order, a step (s, p, g) with s = p g for each non-generator s.
     """
-    n = len(t)
-    gens, order, steps = [], [], []
+    n = len(T)
+    gens, cols, order, steps = [], [], [], []
     reached = [False] * n
     done = [0] * n          # how many generators order[i] was multiplied by
     for x in range(n):
         if reached[x]:
             continue
         gens.append(x)
+        cols.append(T[:, x].tolist())
         reached[x] = True
         order.append(x)
         i = 0
         while i < len(order):
             r = order[i]
-            row = t[r]
-            for g in gens[done[r]:]:
-                p = row[g]
+            for j in range(done[r], len(gens)):
+                p = cols[j][r]
                 if not reached[p]:
                     reached[p] = True
                     order.append(p)
-                    steps.append((p, r, g))
+                    steps.append((p, r, gens[j]))
             done[r] = len(gens)
             i += 1
     return gens, steps
 
 
-def associativity_witness(t):
+def associativity_witness(t, gens=None):
     """Light's test: a triple (x, g, y) with (xg)y != x(gy), or None.
 
     The set of a with (xa)y = x(ay) for all x, y is closed under products in
     any magma, so it is the whole table once it holds every element of a
-    generating set. Costs n^2 per generator instead of n^3 overall.
+    generating set. Costs n^2 per generator instead of n^3 overall: per
+    generator g, the gathers T[T[:, g]] and T[:, T[g]] are compared, a block
+    of rows at a time. `gens` is a generating set of t, found here if not
+    given.
     """
-    n = len(t)
-    for g in _generating_set(t)[0]:
-        row_g = t[g]
-        for x in range(n):
-            row_x = t[x]
-            left = t[row_x[g]]
-            if left != list(map(row_x.__getitem__, row_g)):
-                y = next(y for y in range(n) if left[y] != row_x[row_g[y]])
-                return (x, g, y)
+    T = np.asarray(t)
+    n = len(T)
+    gens = _generating_set(T)[0] if gens is None else gens
+    # every generator in one gather on a small table, else one generator a
+    # block of rows at a time: either way the first failure in (g, x, y)
+    # order is the one found
+    chunks = [gens] if len(gens) * n * n <= _BLOCK_CELLS else [[g] for g in gens]
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    for chunk in chunks:
+        g = np.array(chunk, dtype=np.intp)
+        gy = T[g].astype(np.intp)
+        for x0 in range(0, n, rows):
+            block = T[x0:x0 + rows]
+            left, right = T[block[:, g]], block.take(gy, axis=1)
+            bad = _first_difference(left.transpose(1, 0, 2), right.transpose(1, 0, 2))
+            if bad >= 0:
+                i, x, y = np.unravel_index(bad, left.transpose(1, 0, 2).shape)
+                return (x0 + int(x), chunk[i], int(y))
     return None
 
 
-def homomorphism_witness(t, m, G):
+def homomorphism_witness(t, m, G, gens=None):
     """A pair (s, g) with m(s g) != m(s) m(g) in the group G, or None.
 
     g runs over the generating set of the table t only: n*k products, not
-    n^2. Every element is a left-normed product x1...xk of generators, and
-    induction on k gives m(s x1...xk) = m(s x1...x(k-1)) m(xk)
-    = m(s) m(x1...x(k-1)) m(xk) = m(s) m(x1...xk), the last step being the
-    test at x1...x(k-1). So t must be associative (validated, or built by
-    closure) and G a group (a validated GroupTable), as in Light's test.
+    n^2, each generator one gather. Every element is a left-normed product
+    x1...xk of generators, and induction on k gives m(s x1...xk) =
+    m(s x1...x(k-1)) m(xk) = m(s) m(x1...x(k-1)) m(xk) = m(s) m(x1...xk),
+    the last step being the test at x1...x(k-1). So t must be associative
+    (validated, or built by closure) and G a group (a validated GroupTable),
+    as in Light's test. `gens` is a generating set of t, found here if not
+    given.
     """
-    image = [m(s) for s in range(len(t))]
-    mul = G.mul
-    for g in _generating_set(t)[0]:
-        mg = image[g]
-        for s, row in enumerate(t):
-            if image[row[g]] != mul(image[s], mg):
-                return (s, g)
+    T = np.asarray(t)
+    n = len(T)
+    image = np.fromiter(map(m, range(n)), dtype=G.table.dtype, count=n)
+    gens = _generating_set(T)[0] if gens is None else gens
+    g = np.array(gens, dtype=np.intp)
+    # m(s g) against m(s) m(g) for every generator at once, read g by g
+    bad = _first_difference(image[T[:, g]].T, G.table[image, image[g][:, None]])
+    if bad >= 0:
+        i, s = divmod(bad, n)
+        return (s, gens[i])
     return None
 
 
@@ -498,7 +600,7 @@ class GroupTable(FiniteInverseSemigroup):
 
     def __init__(self, table, labels=None):
         super().__init__(table, labels=labels or [f"g{i}" for i in range(len(table))])
-        idem = [e for e in range(self.n) if self.table[e][e] == e]
+        idem = (self.table.diagonal() == np.arange(self.n)).nonzero()[0].tolist()
         if len(idem) != 1:
             raise InputError(f"{len(idem)} idempotents, a group has exactly one")
         self.identity = idem[0]
@@ -521,7 +623,7 @@ class Homomorphism:
             raise InputError("homomorphism source must not contain a zero")
         if len(m) != S.n or any(not (0 <= v < G.n) for v in m):
             raise InputError("homomorphism mapping malformed")
-        bad = homomorphism_witness(S.table, m.__getitem__, G)
+        bad = homomorphism_witness(S.table, m.__getitem__, G, S._reach[0])
         if bad is not None:
             raise InputError(f"not multiplicative at ({bad[0]},{bad[1]})")
 
@@ -533,17 +635,34 @@ class Homomorphism:
 # closures
 # ---------------------------------------------------------------------------
 
+def _transpose_in_place(A, block=512):
+    """Transpose the square array A a pair of blocks at a time, so no second
+    copy of A is ever held."""
+    n = len(A)
+    for i in range(0, n, block):
+        I = slice(i, i + block)
+        A[I, I] = A[I, I].T.copy()
+        for j in range(i + block, n, block):
+            J = slice(j, j + block)
+            corner = A[I, J].copy()
+            A[I, J] = A[J, I].T
+            A[J, I] = corner.T
+
+
 def close_generators(gens, carrier=None, cap=20000) -> FiniteInverseSemigroup:
     """Close partial bijections under composition and inversion.
 
     Breadth-first orbit on the right Cayley graph (Froidure & Pin): seeds the
     generators, then their inverses, and right-multiplies each element in
     first-seen order by those seeds only, so it composes n*k maps for n
-    elements and k seeds. Every other table column follows from the graph: if
-    b = p*g then a*b = (a*p)*g, one lookup per cell. Returns the tabulated
-    semigroup; the empty map becomes the zero when it arises. Raises
-    CapExceeded past `cap` elements, and InputError when two elements get
-    one `pb_label`.
+    elements and k seeds. A map is a row of point positions over the
+    carrier, padded with one position for "undefined", so a whole frontier
+    is multiplied by a seed in one gather and its new maps are found by
+    their row bytes, interned in (element, seed) order. Every other table
+    column follows from the graph: if b = p*g then a*b = (a*p)*g, one gather
+    per column. Returns the tabulated semigroup; the empty map becomes the
+    zero when it arises. Raises CapExceeded past `cap` elements, and
+    InputError when two elements get one `pb_label`.
     """
     gens = list(gens)
     if not gens:
@@ -558,38 +677,68 @@ def close_generators(gens, carrier=None, cap=20000) -> FiniteInverseSemigroup:
         if not ctx.contains(g):
             raise InputError(f"generator leaves the carrier: {g!r}")
 
-    elems = []
+    points = list(ctx.carrier)
+    m = len(points)
+    place = {p: i for i, p in enumerate(points)}
+    dtype = _index_dtype(m + 1)
+
+    def row(pb):
+        r = np.full(m + 1, m, dtype=dtype)
+        r[[place[x] for x in pb.map]] = [place[y] for y in pb.map.values()]
+        return r
+
+    def keys(rows):
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, rows.itemsize * (m + 1)))).ravel().tolist()
+
     index = {}
-    parent, step = [], []   # element i >= k is elems[parent[i]] * steps[step[i]]
-
-    def intern(pb, p=None, j=None):
-        i = index.get(pb)
-        if i is None:
-            if len(elems) >= cap:
+    seeds = []
+    for r in [row(g) for g in gens] + [row(g.inverse()) for g in gens]:
+        key = keys(r)[0]
+        if key not in index:
+            if len(index) >= cap:
                 raise CapExceeded(f"closure exceeded cap {cap}")
-            i = index[pb] = len(elems)
-            elems.append(pb)
-            parent.append(p)
-            step.append(j)
-        return i
+            index[key] = len(index)
+            seeds.append(r)
+    frontier = seeds = np.array(seeds)
+    k = len(seeds)
+    frontiers = [seeds]
+    parent, step = [], []   # element k + i is element parent[i] * seed step[i]
+    right = []              # right[a * k + j] = index of element a * seed j
+    while len(frontier):
+        first = len(index) - len(frontier)
+        products = np.ascontiguousarray(frontier[:, seeds]).reshape(-1, m + 1)
+        new = []
+        for q, key in enumerate(keys(products)):
+            i = index.get(key)
+            if i is None:
+                if len(index) >= cap:
+                    raise CapExceeded(f"closure exceeded cap {cap}")
+                i = index[key] = len(index)
+                new.append(q)
+                parent.append(first + q // k)
+                step.append(q % k)
+            right.append(i)
+        frontier = products[new]
+        frontiers.append(frontier)
+    n = len(index)
+    table_dtype = _index_dtype(n)
+    R = np.array(right, dtype=table_dtype).reshape(n, k).T
+    # columns first, as rows of one array, then turned into the table
+    T = np.empty((n, n), dtype=table_dtype)
+    T[:k] = R
+    for b in range(k, n):
+        R[step[b - k]].take(T[parent[b - k]], out=T[b])
+    _transpose_in_place(T)
 
-    for g in gens:
-        intern(g)
-    for g in gens:
-        intern(g.inverse())
-    steps = list(elems)
-    k = len(steps)
-    # right[j][a] = index of elems[a] * steps[j]: column j of the table
-    right = [[] for _ in steps]
-    for a, pb in enumerate(elems):
-        for j, g in enumerate(steps):
-            right[j].append(intern(pb.compose(g), a, j))
-
-    cols = right[:]
-    for b in range(k, len(elems)):
-        cols.append(list(map(right[step[b]].__getitem__, cols[parent[b]])))
-    star = [index[a.inverse()] for a in elems]
-    zero = index.get(EMPTY_PB)
+    maps = np.concatenate(frontiers)
+    inverses = np.full_like(maps, m)
+    inverses[np.arange(n)[:, None], maps] = np.arange(m + 1, dtype=dtype)
+    inverses[:, m] = m
+    star = [index[key] for key in keys(inverses)]
+    zero = index.get(keys(np.full(m + 1, m, dtype=dtype))[0])
+    elems = [PartialBijection({points[x]: points[y] for x, y in enumerate(r[:m]) if y < m})
+             for r in maps.tolist()]
     # labels name elements in documents, so points that print alike (1 and
     # "1", or "1,2" against 1 and 2) must not give two maps one name
     named = {}
@@ -597,7 +746,7 @@ def close_generators(gens, carrier=None, cap=20000) -> FiniteInverseSemigroup:
         label = pb_label(pb)
         if named.setdefault(label, pb) is not pb:
             raise InputError(f"label {label!r} names two maps: {named[label]!r} and {pb!r}")
-    return FiniteInverseSemigroup(zip(*cols), star, zero=zero, labels=list(named),
+    return FiniteInverseSemigroup(T, star, zero=zero, labels=list(named),
                                   witnesses=elems, check=False)
 
 
@@ -637,17 +786,24 @@ def materialize_context(ctx: SemigroupContext, elements, labels=None) -> FiniteI
 # structure operations
 # ---------------------------------------------------------------------------
 
+def _idempotent_array(S: FiniteInverseSemigroup):
+    """E(S) from the diagonal's fixed points, asserted commutative and
+    product-closed over the |E|^2 cells e f."""
+    E = (S.table.diagonal() == np.arange(S.n)).nonzero()[0]
+    EF = S.table[E[:, None], E]
+    # the first pair (e, f) in row order that fails either check
+    if _first_difference(EF, EF.T) >= 0 or _first_difference(S.table[EF, EF], EF) >= 0:
+        i, j = divmod(int(((EF != EF.T) | (S.table[EF, EF] != EF)).argmax()), len(E))
+        e, f = E[[i, j]].tolist()
+        if EF[i, j] != EF[j, i]:
+            raise OracleMismatch("idempotents do not commute", witness=(e, f))
+        raise OracleMismatch("idempotent product not idempotent", witness=(e, f))
+    return E
+
+
 def idempotents(S: FiniteInverseSemigroup):
     """E(S), asserted commutative and product-closed."""
-    E = [e for e in S.elements() if S.product(e, e) == e]
-    for e in E:
-        for f in E:
-            ef = S.product(e, f)
-            if ef != S.product(f, e):
-                raise OracleMismatch("idempotents do not commute", witness=(e, f))
-            if S.product(ef, ef) != ef:
-                raise OracleMismatch("idempotent product not idempotent", witness=(e, f))
-    return E
+    return _idempotent_array(S).tolist()
 
 
 def natural_leq(s, t, S: SemigroupContext) -> bool:
@@ -658,40 +814,29 @@ def natural_leq(s, t, S: SemigroupContext) -> bool:
 def max_group_image(S: FiniteInverseSemigroup):
     """Least group congruence quotient: s ~ t iff es = et for some idempotent e.
 
-    s ~ t exactly when s and t have a common lower bound in the natural
-    order, and e*s <= s, so sigma is the equivalence generated by s ~ e*s:
-    |S|*|E| unions. Returns (GroupTable, sigma) with sigma the class map,
-    classes numbered by least member. A semigroup with zero collapses to the
-    trivial group.
+    E(S) is a finite semilattice, so it has a least element z, the product
+    of all idempotents, and z = z e for every e. Then es = et gives
+    zs = zes = zet = zt, so s ~ t exactly when zs = zt: sigma is read off
+    the one row z of the table. Returns (GroupTable, sigma) with sigma the
+    class map as a list, classes numbered by least member. A semigroup with
+    zero collapses to the trivial group.
     """
-    n = S.n
-    E = idempotents(S)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for e in E:
-        for s, es in enumerate(S.table[e]):
-            union(s, es)
-
-    roots = sorted({find(x) for x in range(n)})
-    cls = {r: i for i, r in enumerate(roots)}
-    sigma = [cls[find(x)] for x in range(n)]
+    T = S.table
+    E = _idempotent_array(S).tolist()
+    row = T[functools.reduce(T.item, E)].tolist() if E else []
+    # the least member of each class is the first place its value takes in row z
+    least = {}
+    for s, zs in enumerate(row):
+        least.setdefault(zs, s)
+    cls = dict(zip(least, range(len(least))))
+    sigma = [cls[zs] for zs in row]
+    roots = list(least.values())
+    r = np.array(roots, dtype=np.intp)
     # the quotient is read off the roots; validating it as a group lets the
     # homomorphism test prove sigma a congruence over generators alone
-    qtable = [[sigma[S.table[r][u]] for u in roots] for r in roots]
-    G = GroupTable(qtable)
+    G = GroupTable(np.array(sigma, dtype=np.intp)[T[r[:, None], r]])
     G.labels = [S.labels[r] for r in roots]     # S's names, repeats and all
-    bad = homomorphism_witness(S.table, sigma.__getitem__, G)
+    bad = homomorphism_witness(T, sigma.__getitem__, G, S._reach[0])
     if bad is not None:
         raise OracleMismatch("group congruence not well defined", witness=bad)
     return G, sigma
@@ -700,13 +845,10 @@ def max_group_image(S: FiniteInverseSemigroup):
 def e_unitary_witness(S: FiniteInverseSemigroup):
     """First non-idempotent in the kernel of the maximum group image, or None.
 
-    The image is S's cached `group_image`. The kernel always holds E(S), so
-    S is E-unitary exactly when this returns None.
+    The kernel always holds E(S), so S is E-unitary exactly when this
+    returns None. Read from S's cached `e_unitary_witness`.
     """
-    G, sigma = S.group_image
-    t = S.table
-    return next((s for s in S.elements()
-                 if sigma[s] == G.identity and t[s][s] != s), None)
+    return S.e_unitary_witness
 
 
 def is_e_unitary(S: FiniteInverseSemigroup) -> bool:
@@ -721,12 +863,12 @@ def kernel_of(phi: Homomorphism) -> frozenset:
 
 def _idempotent_preimages(S: FiniteInverseSemigroup, E):
     """pre[y] = [x : x e = y for some e in E], read off the |S|*|E| cells
-    x e in one pass; an x may be listed more than once."""
-    pre = [[] for _ in range(S.n)]
-    for x, row in enumerate(S.table):
-        for e in E:
-            pre[row[e]].append(x)
-    return pre
+    x e in one gather; an x may be listed more than once."""
+    cells = S.table[:, np.asarray(E, dtype=np.intp)].ravel()
+    order = np.argsort(cells, kind="stable")
+    xs = (order // max(len(E), 1)).tolist()
+    ends = np.searchsorted(cells[order], np.arange(S.n + 1)).tolist()
+    return [xs[ends[y]:ends[y + 1]] for y in range(S.n)]
 
 
 def _up(pre, H) -> frozenset:
@@ -742,12 +884,20 @@ def upward_closure(H, S: FiniteInverseSemigroup, E=None) -> frozenset:
 
 
 def _check_upward_closed_subsemigroup(Hset, S: FiniteInverseSemigroup, pre):
-    for h in Hset:
-        if S.star(h) not in Hset:
-            raise InputError(f"subset not star-closed at {h}")
-        for k in Hset:
-            if S.product(h, k) not in Hset:
-                raise InputError(f"subset not product-closed at ({h},{k})")
+    """H is star- and product-closed, with its |H|^2 products read in one
+    gather, and up(H) = H; the first failure in the order H iterates is named."""
+    H = np.fromiter(Hset, dtype=np.intp, count=len(Hset))
+    member = np.zeros(S.n, dtype=bool)
+    member[H] = True
+    star_out = ~member[S.star_table[H]]
+    product_out = ~member[S.table[H[:, None], H]]
+    out = star_out | product_out.any(axis=1)
+    if out.any():
+        i = int(out.argmax())
+        if star_out[i]:
+            raise InputError(f"subset not star-closed at {H[i]}")
+        k = int(np.argmax(product_out[i]))
+        raise InputError(f"subset not product-closed at ({H[i]},{H[k]})")
     up = _up(pre, Hset)
     if up != Hset:
         raise NotUpwardClosed("subsemigroup is not upward closed",
@@ -764,7 +914,8 @@ def omega_coset_diagnostic(H, S: FiniteInverseSemigroup) -> dict:
     Hset = frozenset(H)
     pre = _idempotent_preimages(S, idempotents(S))
     _check_upward_closed_subsemigroup(Hset, S, pre)
-    cosets = list(dict.fromkeys(_up(pre, {row[h] for h in Hset}) for row in S.table))
+    sH = S.table[:, np.fromiter(Hset, dtype=np.intp, count=len(Hset))].tolist()
+    cosets = list(dict.fromkeys(_up(pre, row) for row in sH))
     holders = {}
     for i, c in enumerate(cosets):
         for x in c:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from .algebra import (
     INTEGERS,
     AlgebraElement,
@@ -70,11 +72,11 @@ class BRContext(SemigroupContext):
         self._powers = tuple(powers)
 
     def __eq__(self, other):
-        return (isinstance(other, BRContext) and self.group.table == other.group.table
-                and self.theta == other.theta)
+        return other is self or (isinstance(other, BRContext) and self.theta == other.theta
+                                 and np.array_equal(self.group.table, other.group.table))
 
     def __hash__(self):
-        return hash((tuple(map(tuple, self.group.table)), self.theta))
+        return hash((self.group.table.tobytes(), self.theta))
 
     def theta_pow(self, k, a):
         if k >= len(self._powers):
@@ -114,8 +116,6 @@ class BRContext(SemigroupContext):
         index reaches numpy that the list does not bound; a list whose keys
         would not fit in int64 takes the generic action.
         """
-        import numpy as np
-
         g = self.group.n
         try:
             I, C, J = np.array(elements, dtype=np.int64).reshape(-1, 3).T
@@ -248,8 +248,6 @@ class Shift(tuple):
         """One int64 code per point of lo, ..., lo + n - 1: the offset of
         x + d, -1 when x + d leaves the window, -2 outside [p, q]. Bounds
         stay Python ints that slices clamp, so any size is exact."""
-        import numpy as np
-
         d, p, q = self
         codes = np.full(n, -2, dtype=np.int64)
         codes[max(p - lo, 0):max(q - lo + 1, 0)] = -1     # [p, q] in the window

@@ -485,10 +485,12 @@ def psd_refute(f, B, rep="lambda", tol=None) -> dict:
     """Certificate that f is not positive, when the compressed spectrum dips
     below -tol. Sound because compressions of positive operators stay PSD.
     For lambda and rho the spectrum is taken on one L-class part per
-    D-class; the basis size and the default tol read the whole window."""
+    D-class. The default tol is 1e-9 per row solved (`part_size`), so a
+    window that only adds parts keeps its tolerance and, by interlacing,
+    every refutation; `basis_size` reads the whole window."""
     M = _build(f, B, rep)
     if tol is None:
-        tol = 1e-9 * max(len(B), 1)
+        tol = 1e-9 * max(M.n, 1)
     elif not math.isfinite(tol):
         raise InputError(f"tolerance {tol} is not finite")
     elif tol < 0:
@@ -506,6 +508,7 @@ def psd_refute(f, B, rep="lambda", tol=None) -> dict:
         "value": value,
         "tolerance": tol,
         "basis_size": len(B),
+        "part_size": M.n,
         "refuted": value < -tol,
     }
 

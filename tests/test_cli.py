@@ -671,6 +671,18 @@ def test_non_index_table_cell_is_input_error(capsys, tmp_path, cell):
     assert "$.table[1][1]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("j, cell", [(17, True), (123, 1.5), (250, -1), (299, 300)])
+def test_bad_cell_in_the_last_row_of_a_large_table_names_its_path(capsys, tmp_path, j, cell):
+    # the cells are checked whole-table first; only a failure scans for the cell
+    table = [[0] * 300 for _ in range(300)]
+    table[299][j] = cell
+    code, out, err = run(capsys, ["idempotents"], {"kind": "semigroup", "table": table}, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: $.table[299][{j}]: expected an element index in 0..299, " \
+                  f"got {cell!r}\n"
+
+
 @pytest.mark.parametrize("table", [
     [[0, 0], [1, 1]],                     # left-zero band: 0 has two inverses
     [[0, 0], [0, 0]],                     # null semigroup: 1 has no inverse

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from invsemi.core import (
@@ -90,7 +91,7 @@ def test_closure_is_deterministic():
     a = close_generators([PartialBijection({1: 2})])
     b = close_generators([PartialBijection({1: 2})])
     assert a.witnesses == b.witnesses
-    assert a.table == b.table
+    assert a.table.tolist() == b.table.tolist()
     assert a.labels == b.labels
 
 
@@ -103,8 +104,8 @@ def test_materialize_matches_closure():
     S = five_element()
     ctx = IXContext({1, 2})
     M = materialize_context(ctx, S.witnesses)
-    assert M.table == S.table
-    assert M.star_table == S.star_table
+    assert M.table.tolist() == S.table.tolist()
+    assert M.star_table.tolist() == S.star_table.tolist()
     assert M.zero_index == S.zero_index
 
 
@@ -132,7 +133,7 @@ def test_compose_applies_right_factor_first():
 
 def test_validation_rejects_broken_associativity():
     S = five_element()
-    table = [row[:] for row in S.table]
+    table = S.table.tolist()
     i = S.zero_index
     j = (i + 1) % S.n
     table[i][i] = j
@@ -149,7 +150,7 @@ def test_validation_rejects_noncommuting_idempotents():
 def test_star_derivation():
     S = five_element()
     derived = FiniteInverseSemigroup(S.table, zero=S.zero_index)
-    assert derived.star_table == S.star_table
+    assert derived.star_table.tolist() == S.star_table.tolist()
 
 
 # -- natural partial order ------------------------------------------------------
@@ -383,20 +384,24 @@ def test_omega_cosets_match_pairwise_oracle_on_random_semigroups():
     assert overlaps >= 20 and partitions >= 20
 
 
-class _CountingRow(list):
-    """A table row that adds the cells read from it to `reads[0]`."""
+class _CountingTable(np.ndarray):
+    """A table that adds the cells each read gives back to `reads[0]`: an
+    index or gather, the diagonal, or the whole list view."""
 
-    def __init__(self, row, reads):
-        super().__init__(row)
-        self.reads = reads
+    reads = [0]
 
-    def __getitem__(self, i):
-        self.reads[0] += 1
-        return super().__getitem__(i)
+    def __getitem__(self, key):
+        out = np.asarray(super().__getitem__(key))
+        self.reads[0] += out.size
+        return out
 
-    def __iter__(self):
+    def diagonal(self, *args, **kwargs):
         self.reads[0] += len(self)
-        return super().__iter__()
+        return np.asarray(super().diagonal(*args, **kwargs))
+
+    def tolist(self):
+        self.reads[0] += self.size
+        return super().tolist()
 
 
 def test_omega_cosets_read_each_cell_a_bounded_number_of_times():
@@ -405,11 +410,30 @@ def test_omega_cosets_read_each_cell_a_bounded_number_of_times():
     H = {s for s in S.elements() if sigma[s] == G.identity}
     E = idempotents(S)
     assert (S.n, len(E), len(H), G.n) == (240, 2, 2, 120)
-    reads = [0]
-    S.table = [_CountingRow(row, reads) for row in S.table]
+    reads = _CountingTable.reads = [0]
+    S.table = S.table.view(_CountingTable)
     assert omega_coset_diagnostic(H, S)["is_partition"]
-    # a scanned closure per element reads |S|^2 |E| = 115200 cells
+    # a scanned closure per element reads |S|^2 |E| = 115200 cells, and the
+    # list view alone |S|^2 = 57600
     assert reads[0] < 4 * S.n * (len(E) + len(H))
+    assert "_rows" not in vars(S)
+
+
+def test_whole_table_steps_on_i5_never_build_the_list_view():
+    P = range(5)
+    S = close_generators([PartialBijection({0: 1, 1: 0, 2: 2, 3: 3, 4: 4}),
+                          PartialBijection({p: (p + 1) % 5 for p in P}),
+                          PartialBijection({p: p for p in P[:-1]})])
+    assert S.n == 1546 and S.table.dtype == np.int16 and not S.table.flags.writeable
+    S.validate()
+    G, sigma = max_group_image(S)
+    assert G.n == 1 and type(sigma) is list and {type(c) for c in sigma} == {int}
+    assert len(idempotents(S)) == 32
+    for T in (S, G):
+        assert "_rows" not in vars(T) and "_stars" not in vars(T)
+    # a scalar read builds it, and reads Python ints
+    assert type(S.product(3, 4)) is int and S.product(3, 4) == S.table[3, 4]
+    assert "_rows" in vars(S)
 
 
 def test_omega_coset_partition_for_kernel():

@@ -12,7 +12,8 @@ The fixtures carry no payload, so the commands that decode one (`product`,
 per command and structure kind, a fixture plus fixed payload fields, so the
 element and degree codecs of every kind are fenced too. Their entries are
 keyed `<command> --input <fixture>+<payload name>`. `FLAGGED` runs the graded
-scans past the default length bound, keyed by their whole argv.
+scans past the default length bound and `FORMATTED` renders a nested report
+as text, each keyed by its whole argv.
 
 Re-record after an intended output change with
 
@@ -176,6 +177,8 @@ PAYLOADS = [
 FLAGGED = [[command, "--input", fixture, "--length", "3"]
            for command in ("grading-check", "bundle-check", "coaction-check")
            for fixture in ("bouquet2", "two_vertex")]
+# --format text on a report that nests lists of lists under its keys
+FORMATTED = [["max-group-image", "--input", "clifford_z2", "--format", "text"]]
 
 
 def invocations(workdir):
@@ -186,7 +189,7 @@ def invocations(workdir):
            for command in _COMMANDS if command != "report"
            for fixture in list_fixtures()]
     out.append(("report --seed 0", ["report", "--seed", "0"]))
-    out += [(" ".join(argv), argv) for argv in FLAGGED]
+    out += [(" ".join(argv), argv) for argv in FLAGGED + FORMATTED]
     fixtures = resources.files("invsemi") / "fixtures"
     for command, fixture, name, payload in PAYLOADS:
         doc = json.loads((fixtures / f"{fixture}.json").read_text(encoding="ascii"))

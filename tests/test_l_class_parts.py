@@ -91,7 +91,8 @@ def _check(name, rep, f, B):
     else:
         assert want <= cert["value"] <= want + 1e-12
     assert cert["basis_size"] == len(B)
-    assert cert["tolerance"] == 1e-9 * len(B)
+    assert cert["part_size"] == len(l_class_parts(B if rep == "lambda" else B.starred))
+    assert cert["tolerance"] == 1e-9 * cert["part_size"]
 
 
 def _compare_windows(name, rep):

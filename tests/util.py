@@ -408,7 +408,7 @@ def per_g_coaction_check(grading, B, group_window, T) -> dict:
 def scanned_upward_closure(H, S, E) -> frozenset:
     """{x : x e in H for some idempotent e}, each element against each e."""
     Hset = frozenset(H)
-    return frozenset(x for x in S.elements() if any(S.table[x][e] in Hset for e in E))
+    return frozenset(x for x in S.elements() if any(S.product(x, e) in Hset for e in E))
 
 
 def pairwise_omega_coset_diagnostic(H, S) -> dict:
