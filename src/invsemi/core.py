@@ -7,7 +7,8 @@ Three kinds of carrier live here:
   given by generating maps are closed here (the shift bundle keeps its own
   interval form, in families);
 * FiniteInverseSemigroup, a fully tabulated semigroup (product table, star
-  table, optional zero) that every structure operation scans;
+  table, optional zero), each table one read-only integer array that every
+  structure operation reads in whole-array steps;
 * GroupTable, a tabulated semigroup with one idempotent, that is a finite
   group, used as the target of homomorphisms and maximum group images.
 
@@ -19,7 +20,9 @@ SemigroupContext.
 On a table of n elements, each structure operation costs about n*k or n^2,
 where k is the size of a generating set: closure walks the right Cayley
 graph, Light's associativity test and the homomorphism test run over a
-generating set, and the group image unions each s with e*s. The omega-cosets
+generating set, and the group image reads the row of the least idempotent.
+Each is a few numpy gathers and comparisons, so a table of a few elements
+pays numpy's per-call cost instead of a few list reads. The omega-cosets
 up(sH) of a subsemigroup H cost about n*|H|*|E|: each is a union of the
 idempotent preimages {x : x e = y}, listed once from the n*|E| cells x e.
 """
@@ -281,9 +284,7 @@ class FiniteInverseSemigroup(SemigroupContext):
         if star_table is None:
             star_table = self._derive_star()
         elif check:
-            if len(star_table) != n:
-                raise InputError(f"{self.path}.star: {len(star_table)} entries for {n} elements")
-            _check_index_list(star_table, n, f"{self.path}.star")
+            _check_star(star_table, n, f"{self.path}.star")
         self.star_table = _frozen(np.asarray(star_table, dtype=_index_dtype(n)))
         self.zero = zero
         self.labels = list(labels) if labels else [f"s{i}" for i in range(n)]
@@ -326,12 +327,17 @@ class FiniteInverseSemigroup(SemigroupContext):
         return max_group_image(self)
 
     @functools.cached_property
-    def e_unitary_witness(self):
+    def _e_unitary_witness(self):
         """First non-idempotent in the kernel of `group_image`, or None: one
         mask, computed on first use."""
         G, sigma = self.group_image
         bad = (np.array(sigma) == G.identity) & (self.table.diagonal() != np.arange(self.n))
         return int(bad.argmax()) if bad.any() else None
+
+    @functools.cached_property
+    def _idempotents(self):
+        """The fixed points of the diagonal, as an array."""
+        return (self.table.diagonal() == np.arange(self.n)).nonzero()[0]
 
     @functools.cached_property
     def _reach(self):
@@ -371,7 +377,8 @@ class FiniteInverseSemigroup(SemigroupContext):
         # x is an inverse of g when g x g = g and x g x = x
         inverse = (T[T[g], g[:, None]] == g[:, None]) & (T[T[:, g].T, every] == every)
         star = [0] * self.n
-        for g, count, x in zip(gens, inverse.sum(axis=1).tolist(), inverse.argmax(axis=1).tolist()):
+        counts, firsts = inverse.sum(axis=1).tolist(), inverse.argmax(axis=1).tolist()
+        for g, count, x in zip(gens, counts, firsts):
             if count != 1:
                 raise InputError(f"element {g} has {count} generalized inverses, expected 1")
             star[g] = x
@@ -387,10 +394,7 @@ class FiniteInverseSemigroup(SemigroupContext):
         element) whose idempotents commute is inverse, so each one is unique.
         """
         _table_array(self.table, f"{self.path}.table")
-        if len(self.star_table) != self.n:
-            raise InputError(f"{self.path}.star: {len(self.star_table)} entries "
-                             f"for {self.n} elements")
-        _check_index_list(self.star_table, self.n, f"{self.path}.star")
+        _check_star(self.star_table, self.n, f"{self.path}.star")
         self._check_structure()
 
     def _check_structure(self):
@@ -416,7 +420,7 @@ class FiniteInverseSemigroup(SemigroupContext):
                     raise InputError(f"star table wrong at {s}")
                 if star[st] != s:
                     raise InputError(f"star not involutive at {s}")
-        idem = (T.diagonal() == every).nonzero()[0]
+        idem = self._idempotents
         TE = T[idem[:, None], idem]
         clash = _first_difference(TE, TE.T)
         if clash >= 0:
@@ -443,6 +447,12 @@ def _check_index_list(values, n, path):
     for j, v in enumerate(values):
         if type(v) is not int or not 0 <= v < n:
             raise InputError(f"{path}[{j}]: expected an element index in 0..{n - 1}, got {v!r}")
+
+
+def _check_star(star, n, path):
+    if len(star) != n:
+        raise InputError(f"{path}: {len(star)} entries for {n} elements")
+    _check_index_list(star, n, path)
 
 
 def _check_cells(table, n, path):
@@ -600,7 +610,7 @@ class GroupTable(FiniteInverseSemigroup):
 
     def __init__(self, table, labels=None):
         super().__init__(table, labels=labels or [f"g{i}" for i in range(len(table))])
-        idem = (self.table.diagonal() == np.arange(self.n)).nonzero()[0].tolist()
+        idem = self._idempotents.tolist()
         if len(idem) != 1:
             raise InputError(f"{len(idem)} idempotents, a group has exactly one")
         self.identity = idem[0]
@@ -683,8 +693,9 @@ def close_generators(gens, carrier=None, cap=20000) -> FiniteInverseSemigroup:
     dtype = _index_dtype(m + 1)
 
     def row(pb):
-        r = np.full(m + 1, m, dtype=dtype)
-        r[[place[x] for x in pb.map]] = [place[y] for y in pb.map.values()]
+        r = [m] * (m + 1)
+        for x, y in pb.map.items():
+            r[place[x]] = place[y]
         return r
 
     def keys(rows):
@@ -692,33 +703,33 @@ def close_generators(gens, carrier=None, cap=20000) -> FiniteInverseSemigroup:
         return rows.view(np.dtype((np.void, rows.itemsize * (m + 1)))).ravel().tolist()
 
     index = {}
-    seeds = []
-    for r in [row(g) for g in gens] + [row(g.inverse()) for g in gens]:
-        key = keys(r)[0]
-        if key not in index:
-            if len(index) >= cap:
-                raise CapExceeded(f"closure exceeded cap {cap}")
-            index[key] = len(index)
-            seeds.append(r)
-    frontier = seeds = np.array(seeds)
-    k = len(seeds)
-    frontiers = [seeds]
-    parent, step = [], []   # element k + i is element parent[i] * seed step[i]
-    right = []              # right[a * k + j] = index of element a * seed j
-    while len(frontier):
-        first = len(index) - len(frontier)
-        products = np.ascontiguousarray(frontier[:, seeds]).reshape(-1, m + 1)
-        new = []
-        for q, key in enumerate(keys(products)):
+
+    def intern(rows):
+        """The index of each row, numbering new ones in order; and where the new ones sit."""
+        ids, new = [], []
+        for q, key in enumerate(keys(rows)):
             i = index.get(key)
             if i is None:
                 if len(index) >= cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")
                 i = index[key] = len(index)
                 new.append(q)
-                parent.append(first + q // k)
-                step.append(q % k)
-            right.append(i)
+            ids.append(i)
+        return ids, new
+
+    seeds = np.array([row(g) for g in gens] + [row(g.inverse()) for g in gens], dtype=dtype)
+    frontier = seeds = seeds[intern(seeds)[1]]
+    k = len(seeds)
+    frontiers = [seeds]
+    parent, step = [], []   # element k + i is element parent[i] * seed step[i]
+    right = []              # right[a * k + j] = index of element a * seed j
+    while len(frontier):
+        first = len(index) - len(frontier)
+        products = frontier[:, seeds].reshape(-1, m + 1)
+        ids, new = intern(products)
+        right += ids
+        parent += [first + q // k for q in new]
+        step += [q % k for q in new]
         frontier = products[new]
         frontiers.append(frontier)
     n = len(index)
@@ -789,7 +800,7 @@ def materialize_context(ctx: SemigroupContext, elements, labels=None) -> FiniteI
 def _idempotent_array(S: FiniteInverseSemigroup):
     """E(S) from the diagonal's fixed points, asserted commutative and
     product-closed over the |E|^2 cells e f."""
-    E = (S.table.diagonal() == np.arange(S.n)).nonzero()[0]
+    E = S._idempotents
     EF = S.table[E[:, None], E]
     # the first pair (e, f) in row order that fails either check
     if _first_difference(EF, EF.T) >= 0 or _first_difference(S.table[EF, EF], EF) >= 0:
@@ -846,9 +857,9 @@ def e_unitary_witness(S: FiniteInverseSemigroup):
     """First non-idempotent in the kernel of the maximum group image, or None.
 
     The kernel always holds E(S), so S is E-unitary exactly when this
-    returns None. Read from S's cached `e_unitary_witness`.
+    returns None. Computed once per S, from its cached `group_image`.
     """
-    return S.e_unitary_witness
+    return S._e_unitary_witness
 
 
 def is_e_unitary(S: FiniteInverseSemigroup) -> bool:

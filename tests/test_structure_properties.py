@@ -71,7 +71,8 @@ def test_closure_matches_round_fixpoint(gens):
 @given(generator_sets())
 def test_star_derived_from_the_table_matches_inverses(gens):
     S = _closure(gens, cap=100)
-    assert FiniteInverseSemigroup(S.table, zero=S.zero_index).star_table.tolist() == S.star_table.tolist()
+    derived = FiniteInverseSemigroup(S.table, zero=S.zero_index)
+    assert derived.star_table.tolist() == S.star_table.tolist()
 
 
 # -- group image -----------------------------------------------------------------
