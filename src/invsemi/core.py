@@ -281,6 +281,10 @@ class FiniteInverseSemigroup(SemigroupContext):
                  witnesses=None, check=True):
         self.table = _table_array(table, f"{self.path}.table" if check else None)
         self.n = n = len(self.table)
+        # found on first use: the list view that product and star read, the
+        # greedy generating set and the idempotents. Plain attributes, since
+        # a cached property's store slows every attribute read on the object
+        self._rows = self._stars = self._gens = self._idem = None
         if star_table is None:
             star_table = self._derive_star()
         elif check:
@@ -307,14 +311,6 @@ class FiniteInverseSemigroup(SemigroupContext):
         perfbench/structure.py reads."""
         return self.zero
 
-    @functools.cached_property
-    def _rows(self):
-        return self.table.tolist()
-
-    @functools.cached_property
-    def _stars(self):
-        return self.star_table.tolist()
-
     def elements(self):
         return range(self.n)
 
@@ -332,17 +328,19 @@ class FiniteInverseSemigroup(SemigroupContext):
         mask, computed on first use."""
         G, sigma = self.group_image
         bad = (np.array(sigma) == G.identity) & (self.table.diagonal() != np.arange(self.n))
-        return int(bad.argmax()) if bad.any() else None
+        return int(bad.argmax()) if np.count_nonzero(bad) else None
 
-    @functools.cached_property
     def _idempotents(self):
         """The fixed points of the diagonal, as an array."""
-        return (self.table.diagonal() == np.arange(self.n)).nonzero()[0]
+        if self._idem is None:
+            self._idem = (self.table.diagonal() == np.arange(self.n)).nonzero()[0]
+        return self._idem
 
-    @functools.cached_property
     def _reach(self):
         """The greedy generating set of the table and its reach steps."""
-        return _generating_set(self.table)
+        if self._gens is None:
+            self._gens = _generating_set(self.table)
+        return self._gens
 
     def grading(self) -> Grading:
         G, sigma = self.group_image
@@ -355,10 +353,22 @@ class FiniteInverseSemigroup(SemigroupContext):
         return self
 
     def product(self, a, b):
-        return self._rows[a][b]
+        try:
+            return self._rows[a][b]
+        except TypeError:       # the first scalar read: no list view yet
+            if self._rows is not None:
+                raise
+            self._rows = self.table.tolist()
+            return self._rows[a][b]
 
     def star(self, a):
-        return self._stars[a]
+        try:
+            return self._stars[a]
+        except TypeError:
+            if self._stars is not None:
+                raise
+            self._stars = self.star_table.tolist()
+            return self._stars[a]
 
     def label_index(self, label):
         try:
@@ -372,12 +382,13 @@ class FiniteInverseSemigroup(SemigroupContext):
         validate() proves the result; on a table that is not inverse it
         fails there, or here when a generator's inverse is not unique."""
         T = self.table
-        gens, steps = self._reach
+        gens, steps = self._reach()
         g, every = np.array(gens, dtype=np.intp), np.arange(self.n)
         # x is an inverse of g when g x g = g and x g x = x
         inverse = (T[T[g], g[:, None]] == g[:, None]) & (T[T[:, g].T, every] == every)
         star = [0] * self.n
-        counts, firsts = inverse.sum(axis=1).tolist(), inverse.argmax(axis=1).tolist()
+        counts = np.count_nonzero(inverse, axis=1).tolist()
+        firsts = inverse.argmax(axis=1).tolist()
         for g, count, x in zip(gens, counts, firsts):
             if count != 1:
                 raise InputError(f"element {g} has {count} generalized inverses, expected 1")
@@ -407,7 +418,7 @@ class FiniteInverseSemigroup(SemigroupContext):
             raise InputError(f"{path}.labels: {len(self.labels)} labels for {n} elements")
         _check_labels(self.labels, f"{path}.labels")
         T, star = self.table, self.star_table
-        bad = associativity_witness(T, self._reach[0])
+        bad = associativity_witness(T, self._reach()[0])
         if bad is not None:
             raise InputError(f"not associative at {bad}")
         every = np.arange(n, dtype=T.dtype)
@@ -420,20 +431,20 @@ class FiniteInverseSemigroup(SemigroupContext):
                     raise InputError(f"star table wrong at {s}")
                 if star[st] != s:
                     raise InputError(f"star not involutive at {s}")
-        idem = self._idempotents
+        idem = self._idempotents()
         TE = T[idem[:, None], idem]
         clash = _first_difference(TE, TE.T)
         if clash >= 0:
             e, f = idem[list(divmod(clash, len(idem)))].tolist()
             raise InputError(f"idempotents {e},{f} do not commute")
         # an absorbing zero passed the star check only if z* = z* z z* = z
-        if z is not None and not ((T[z] == z).all() and (T[:, z] == z).all()):
+        if z is not None and _first_difference(np.concatenate((T[z], T[:, z])), z) >= 0:
             raise InputError("declared zero is not absorbing")
 
 
 def _first_difference(a, b):
-    """The first flat index at which the equal-shaped arrays a and b differ,
-    or -1."""
+    """The first flat index at which the array a differs from b (an array of
+    its shape, or a scalar), or -1."""
     differ = a != b
     return int(differ.argmax()) if np.count_nonzero(differ) else -1
 
@@ -610,7 +621,7 @@ class GroupTable(FiniteInverseSemigroup):
 
     def __init__(self, table, labels=None):
         super().__init__(table, labels=labels or [f"g{i}" for i in range(len(table))])
-        idem = self._idempotents.tolist()
+        idem = self._idempotents().tolist()
         if len(idem) != 1:
             raise InputError(f"{len(idem)} idempotents, a group has exactly one")
         self.identity = idem[0]
@@ -633,7 +644,7 @@ class Homomorphism:
             raise InputError("homomorphism source must not contain a zero")
         if len(m) != S.n or any(not (0 <= v < G.n) for v in m):
             raise InputError("homomorphism mapping malformed")
-        bad = homomorphism_witness(S.table, m.__getitem__, G, S._reach[0])
+        bad = homomorphism_witness(S.table, m.__getitem__, G, S._reach()[0])
         if bad is not None:
             raise InputError(f"not multiplicative at ({bad[0]},{bad[1]})")
 
@@ -800,7 +811,7 @@ def materialize_context(ctx: SemigroupContext, elements, labels=None) -> FiniteI
 def _idempotent_array(S: FiniteInverseSemigroup):
     """E(S) from the diagonal's fixed points, asserted commutative and
     product-closed over the |E|^2 cells e f."""
-    E = S._idempotents
+    E = S._idempotents()
     EF = S.table[E[:, None], E]
     # the first pair (e, f) in row order that fails either check
     if _first_difference(EF, EF.T) >= 0 or _first_difference(S.table[EF, EF], EF) >= 0:
@@ -847,7 +858,7 @@ def max_group_image(S: FiniteInverseSemigroup):
     # homomorphism test prove sigma a congruence over generators alone
     G = GroupTable(np.array(sigma, dtype=np.intp)[T[r[:, None], r]])
     G.labels = [S.labels[r] for r in roots]     # S's names, repeats and all
-    bad = homomorphism_witness(T, sigma.__getitem__, G, S._reach[0])
+    bad = homomorphism_witness(T, sigma.__getitem__, G, S._reach()[0])
     if bad is not None:
         raise OracleMismatch("group congruence not well defined", witness=bad)
     return G, sigma

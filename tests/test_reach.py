@@ -28,7 +28,7 @@ S = close_generators(gens)
 S.validate()
 G, sigma = max_group_image(S)
 print(json.dumps({"seconds": time.perf_counter() - start, "n": S.n, "order": G.n,
-                  "zero": S.zero, "list_view": "_rows" in vars(S),
+                  "zero": S.zero, "list_view": S._rows is not None,
                   "peak_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
