@@ -808,24 +808,20 @@ def materialize_context(ctx: SemigroupContext, elements, labels=None) -> FiniteI
 # structure operations
 # ---------------------------------------------------------------------------
 
-def _idempotent_array(S: FiniteInverseSemigroup):
-    """E(S) from the diagonal's fixed points, asserted commutative and
+def idempotents(S: FiniteInverseSemigroup):
+    """E(S), the diagonal's fixed points, asserted commutative and
     product-closed over the |E|^2 cells e f."""
     E = S._idempotents()
     EF = S.table[E[:, None], E]
-    # the first pair (e, f) in row order that fails either check
-    if _first_difference(EF, EF.T) >= 0 or _first_difference(S.table[EF, EF], EF) >= 0:
-        i, j = divmod(int(((EF != EF.T) | (S.table[EF, EF] != EF)).argmax()), len(E))
+    bad = (EF != EF.T) | (S.table[EF, EF] != EF)
+    if np.count_nonzero(bad):
+        # the first pair (e, f) in row order that fails either check
+        i, j = divmod(int(bad.argmax()), len(E))
         e, f = E[[i, j]].tolist()
         if EF[i, j] != EF[j, i]:
             raise OracleMismatch("idempotents do not commute", witness=(e, f))
         raise OracleMismatch("idempotent product not idempotent", witness=(e, f))
-    return E
-
-
-def idempotents(S: FiniteInverseSemigroup):
-    """E(S), asserted commutative and product-closed."""
-    return _idempotent_array(S).tolist()
+    return E.tolist()
 
 
 def natural_leq(s, t, S: SemigroupContext) -> bool:
@@ -844,7 +840,7 @@ def max_group_image(S: FiniteInverseSemigroup):
     zero collapses to the trivial group.
     """
     T = S.table
-    E = _idempotent_array(S).tolist()
+    E = idempotents(S)
     row = T[functools.reduce(T.item, E)].tolist() if E else []
     # the least member of each class is the first place its value takes in row z
     least = {}
