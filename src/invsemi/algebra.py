@@ -298,13 +298,15 @@ def _graded_scan(grading: Grading, elements):
     Returns the elements, their fibers (degree -> members, in order of first
     appearance), the fiber index of each element, and (i, j, product degree,
     expected degree) for every nonzero product whose degree is not the
-    expected one, in ascending (i, j). Every pair the context's partner index
-    does not rule out is multiplied, and every nonzero product's degree is
-    compared. Left elements are taken fiber by fiber: the expected degree is
-    computed once per pair of fibers, equal products within one left fiber
-    are graded once, and both are kept only while that fiber is scanned (a
-    memo kept for the whole scan grew the peak RSS of `grading-check` on
-    bouquet2 at length 5 from 39 to 130 MiB).
+    expected one, in ascending (i, j). The context hands over each left
+    element's nonzero products (`left_products`), and every one is graded
+    and compared. Left elements are taken R-class by R-class, keyed by
+    a a*, and in fiber order within one: a' = a (a* a'), so products of one
+    R-class repeat, and each distinct one is graded once per R-class. The
+    expected degree is computed once per right fiber in each run of one left
+    fiber. Both memos are dropped with their R-class (a memo kept for the
+    whole scan grew the peak RSS of `grading-check` on bouquet2 at length 5
+    from 39 to 130 MiB).
 
     One scan serves both reports: the grading keeps its last scan, keyed by
     the listed elements compared by value, so a caller that reports on the
@@ -319,31 +321,31 @@ def _graded_scan(grading: Grading, elements):
         return last[1]
     ctx = grading.context
     mul, degree = grading.group.mul, grading.degree
-    product, is_zero = ctx.product, ctx.is_zero
-    elems = [e for e in listed if not is_zero(e)]
+    product, star = ctx.product, ctx.star
+    elems = [e for e in listed if not ctx.is_zero(e)]
     fibers = grading.fibers(elems)
     degrees = list(fibers)
     where = {e: k for k, members in enumerate(fibers.values()) for e in members}
     fiber_of = [where[e] for e in elems]
-    partners = ctx.partners(elems)
-    left, mismatches = None, []
+    r_classes = {}
     for i in sorted(range(len(elems)), key=fiber_of.__getitem__):
-        a = elems[i]
-        if fiber_of[i] != left:
-            left, expected, graded = fiber_of[i], {}, {}
-        for j in partners(a):
-            p = product(a, elems[j])
-            if is_zero(p):
-                continue
-            got = graded.get(p)
-            if got is None:
-                got = graded[p] = degree(p)
-            right = fiber_of[j]
-            want = expected.get(right)
-            if want is None:
-                want = expected[right] = mul(degrees[left], degrees[right])
-            if got != want:
-                mismatches.append((i, j, got, want))
+        r_classes.setdefault(product(elems[i], star(elems[i])), []).append(i)
+    left_products, mismatches = ctx.left_products(elems), []
+    for members in r_classes.values():
+        left, graded = None, {}
+        for i in members:
+            if fiber_of[i] != left:
+                left, expected = fiber_of[i], {}
+            for j, p in left_products(elems[i]):
+                got = graded.get(p)
+                if got is None:
+                    got = graded[p] = degree(p)
+                right = fiber_of[j]
+                want = expected.get(right)
+                if want is None:
+                    want = expected[right] = mul(degrees[left], degrees[right])
+                if got != want:
+                    mismatches.append((i, j, got, want))
     mismatches.sort()
     scan = elems, fibers, fiber_of, mismatches
     # Grading is frozen; this one field is its memo, not part of its value
@@ -357,8 +359,8 @@ def check_grading(grading: Grading, elements) -> dict:
     Products are evaluated in the ambient context, so pairs whose product
     leaves the listed truncation are still checked exactly; `skipped` stays
     for contexts that cannot evaluate a product (none of the built-in ones).
-    `checked` counts every listed pair, the ones the partner index rules out
-    as zero included. Reports whether the kernel meets the listed elements in
+    `checked` counts every listed pair, the ones whose product is zero
+    included. Reports whether the kernel meets the listed elements in
     exactly the nonzero idempotents (idempotent-pure).
     """
     ctx = grading.context

@@ -75,12 +75,14 @@ class SemigroupContext:
     def is_idempotent(self, x) -> bool:
         return self.product(x, x) == x
 
-    def partners(self, elements):
-        """For the listed elements, a map from a left element to the ascending
-        indices of the listed right elements whose product with it can be
-        nonzero; a kind that cannot rule a pair out answers all of them."""
-        everyone = range(len(elements))
-        return lambda a: everyone
+    def left_products(self, elements):
+        """For the listed elements, a map from a left element a to the pairs
+        (j, a b_j), in any order, over the listed b_j whose product with a is
+        nonzero; by default every listed b is multiplied."""
+        product, is_zero = self.product, self.is_zero
+        listed = list(enumerate(elements))
+        return lambda a: [(j, p) for j, b in listed
+                          for p in (product(a, b),) if not is_zero(p)]
 
     def left_action(self, elements):
         """For the listed distinct elements, a map `act` from a to an int64

@@ -59,7 +59,8 @@ class BRContext(SemigroupContext):
             raise InputError("theta must map the group into itself")
         if self.theta[group.identity] != group.identity:
             raise InputError("theta must fix the identity")
-        bad = homomorphism_witness(group.table, self.theta.__getitem__, group)
+        bad = homomorphism_witness(group.table, self.theta.__getitem__, group,
+                                   group._reach()[0])
         if bad is not None:
             raise InputError(f"theta not multiplicative at ({bad[0]},{bad[1]})")
         # theta's powers are eventually periodic: keep them up to the first

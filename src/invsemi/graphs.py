@@ -144,6 +144,7 @@ def multiply_pairs(p, q):
     nu = alpha nu' and (mu alpha', beta) when alpha = nu alpha'. A leg and its
     extension share a head, and an empty leg's head is its base, so the new
     pair's vertices are read off the two pairs themselves.
+    `GraphContext.left_products` builds the same products in bulk.
     """
     if p is ZERO_PAIR or q is ZERO_PAIR:
         return ZERO_PAIR
@@ -226,32 +227,39 @@ class GraphContext(SemigroupContext):
         mu, nu, base, mu_head, nu_head = p
         return base, (nu, nu_head), (mu, mu_head)
 
-    def partners(self, elements):
+    def left_products(self, elements):
         """(mu, nu)(alpha, beta) is nonzero only when alpha and nu are
         comparable: one is a prefix of the other, at the same range vertex.
         The list is indexed by its first legs alpha, once as alpha and once
         under each proper prefix, so nu takes |nu| + 1 prefix lookups plus
-        one lookup of its extensions."""
+        one lookup of its extensions. Each product is the junction rule of
+        `multiply_pairs`, built from the two legs in place."""
         exact, under = {}, {}
         for j, q in enumerate(elements):
             if q is ZERO_PAIR:
                 continue
             edges, head = q[0], q[3]
-            exact.setdefault((head, edges), []).append(j)
+            exact.setdefault((head, edges), []).append((j, q))
             for k in range(len(edges)):
-                under.setdefault((head, edges[:k]), []).append(j)
+                under.setdefault((head, edges[:k]), []).append((j, q))
+        new = tuple.__new__
 
-        def partners(a):
+        def products(a):
             if a is ZERO_PAIR:
-                return ()
-            edges, head = a[1], a[4]
-            found = list(under.get((head, edges), ()))
-            for k in range(len(edges) + 1):
-                found += exact.get((head, edges[:k]), ())
-            found.sort()
+                return []
+            mu, nu, base, mu_head, nu_head = a
+            n = len(nu)
+            # alpha = nu alpha' gives (mu alpha', beta)
+            found = [(j, new(PathPair, (mu + q[0][n:], q[1], q[2], mu_head, q[4])))
+                     for j, q in under.get((nu_head, nu), ())]
+            # nu = alpha nu' gives (mu, beta nu')
+            for k in range(n + 1):
+                tail = nu[k:]
+                found += [(j, new(PathPair, (mu, q[1] + tail, base, mu_head, q[4])))
+                          for j, q in exact.get((nu_head, nu[:k]), ())]
             return found
 
-        return partners
+        return products
 
     def grading(self) -> Grading:
         return Grading(self, FREE_GROUP, grading_phi)

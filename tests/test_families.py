@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from invsemi import core
 from invsemi.algebra import AlgebraElement, check_grading, epsilon_star_square
 from invsemi.core import GroupTable, close_generators
 from invsemi.errors import InputError
@@ -26,6 +27,7 @@ from invsemi.families import (
     tq_oracle_check,
     tq_phi,
 )
+from invsemi.jsonio import load_input
 from util import as_pb, identity_pb, interval_shifts, rand_qqi, recursive_tq_window
 
 
@@ -53,6 +55,24 @@ def test_br_rejects_bad_theta():
     with pytest.raises(InputError):
         BRContext(z4, [0, 2, 1, 3])  # not multiplicative
     BRContext(z4, [0, 3, 2, 1])  # inversion is one
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_br_document_finds_its_group_generators_once(monkeypatch, n):
+    """The generating set the group table found while validating serves the
+    theta check too, so a document runs the greedy scan once."""
+    calls = []
+
+    def counted(T):
+        calls.append(len(T))
+        return generating_set(T)
+
+    generating_set = core._generating_set
+    monkeypatch.setattr(core, "_generating_set", counted)
+    load_input({"kind": "bruck_reilly",
+                "group": {"table": [[(i + j) % n for j in range(n)] for i in range(n)]},
+                "theta": [(-i) % n for i in range(n)]})
+    assert calls == [n]
 
 
 def test_br_product_frozen():

@@ -2,32 +2,40 @@
 
 Random graphs with a source (a vertex no edge enters) and a sink (a vertex
 no edge leaves), loops and parallel edges allowed, are truncated at L <= 3.
-The graph partner index may skip only pairs that multiply to zero;
-`check_grading`, `bundle_fibers` and `coaction_unitary_check` must report
-exactly what the pair-by-pair loops in `tests/util.py` report, on the honest
-grading, on gradings that lie about one element, and on gradings that lie
-about a product several pairs of one left fiber reach, which the scans grade
-once; `grading_phi` must equal the free reduction of mu nu^-1; `word_mul`,
-which cancels only at the junction of two reduced words, must equal the free
-reduction of u v. Pairs are stored flat: rebuilding one from its legs gives
-it back, and products and stars must follow the junction rule on Path legs.
-The two reports share the last scan of a grading: the second report on an
-equal list multiplies nothing, a changed list scans again, what a report
-returns cannot change the scan, and on a lying grading either order of the
-reports gives the violations of a fresh grading.
+`left_products` must hand over exactly the nonzero products that
+`multiply_pairs` (or the context's `product`) gives, each listed right
+element at most once, on the graph index and on the default hook over graph
+truncations, Bruck-Reilly windows and tables. `check_grading`,
+`bundle_fibers` and `coaction_unitary_check` must report exactly what the
+pair-by-pair loops in `tests/util.py` report, on the honest grading, on
+gradings that lie about one element, on gradings that lie about a product
+several pairs of one left fiber reach, and on gradings that lie about a
+product left elements of one R-class reach from different left fibers; the
+scans grade each product once per R-class. `grading_phi` must equal the free
+reduction of mu nu^-1; `word_mul`, which cancels only at the junction of two
+reduced words, must equal the free reduction of u v. Pairs are stored flat:
+rebuilding one from its legs gives it back, and products and stars must
+follow the junction rule on Path legs. The two reports share the last scan
+of a grading: the second report on an equal list takes no products from the
+context, a changed list scans again, what a report returns cannot change
+the scan, and on a lying grading either order of the reports gives the
+violations of a fresh grading.
 Examples are derandomized so every run checks the same cases.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invsemi.algebra import FREE_GROUP, INTEGERS, Grading, bundle_fibers, check_grading
-from invsemi.families import br_grading, br_window, br_z2_contexts
+from invsemi.core import GroupTable, SemigroupContext
+from invsemi.families import BRContext, br_grading, br_window, br_z2_contexts
 from invsemi.graphs import (ZERO_PAIR, DirectedGraph, GraphContext, PathPair,
                             enumerate_pairs, grading_phi, graph_grading, multiply_pairs,
                             star_pair)
+from invsemi.jsonio import load_fixture
 from invsemi.rep import Truncation, coaction_unitary_check
 from invsemi.words import free_reduce, word_inv, word_mul
 
@@ -69,16 +77,52 @@ def _assert_scans_match_pairwise(grading, pairs):
     assert list(fibers.items()) == list(want_fibers.items())
 
 
+def _assert_left_products_are_the_nonzero_products(ctx, products, elements):
+    """Each (j, p) handed over for a is (j, a b_j) by the context's own
+    product, no j twice, and every j left out multiplies a to zero."""
+    for a in elements:
+        found = products(a)
+        js = [j for j, _ in found]
+        assert len(js) == len(set(js))
+        for j, p in found:
+            want = ctx.product(a, elements[j])
+            assert not ctx.is_zero(want) and p == want and type(p) is type(want)
+        assert all(ctx.is_zero(ctx.product(a, elements[j]))
+                   for j in set(range(len(elements))) - set(js))
+
+
 @settings(max_examples=15)
 @given(truncated_graphs())
-def test_partner_index_skips_only_zero_products(drawn):
+def test_left_products_are_the_nonzero_products_on_graphs(drawn):
     g, _, pairs = drawn
-    partners = GraphContext(g).partners(pairs)
-    for a in pairs:
-        found = list(partners(a))
-        assert found == sorted(set(found))
-        skipped = set(range(len(pairs))) - set(found)
-        assert all(multiply_pairs(a, pairs[j]) is ZERO_PAIR for j in skipped)
+    ctx = GraphContext(g)
+    assert ctx.product is multiply_pairs
+    for listed in (pairs, pairs[::-1] + [ZERO_PAIR]):
+        for products in (ctx.left_products(listed),
+                         SemigroupContext.left_products(ctx, listed)):
+            _assert_left_products_are_the_nonzero_products(ctx, products, listed)
+
+
+@settings(max_examples=15)
+@given(st.integers(2, 4), st.data())
+def test_left_products_are_the_nonzero_products_on_br_windows(n, data):
+    """The default hook on Bruck-Reilly, where no product is zero."""
+    endos = [[(k * i) % n for i in range(n)] for k in range(n)]
+    ctx = BRContext(GroupTable([[(i + j) % n for j in range(n)] for i in range(n)]),
+                    data.draw(st.sampled_from(endos)))
+    window = br_window(ctx, data.draw(st.integers(0, 2)))
+    products = ctx.left_products(window)
+    _assert_left_products_are_the_nonzero_products(ctx, products, window)
+    assert all(len(products(a)) == len(window) for a in window)
+
+
+@pytest.mark.parametrize("name", ["five_element", "clifford_z2", "two_parallel"])
+def test_left_products_are_the_nonzero_products_on_tables(name):
+    """The default hook on tables with and without a zero; a graph document
+    gives the table of every pair of paths."""
+    S = load_fixture(name).structure.finite_semigroup()
+    for listed in (list(range(S.n)), list(range(S.n))[::-1]):
+        _assert_left_products_are_the_nonzero_products(S, S.left_products(listed), listed)
 
 
 @settings(max_examples=15)
@@ -112,16 +156,49 @@ def test_graded_scans_catch_a_lie_about_a_shared_product(drawn, data):
     _assert_scans_match_pairwise(lying, pairs)
 
 
+@settings(max_examples=15)
+@given(truncated_graphs(), st.data())
+def test_graded_scans_catch_a_lie_across_the_left_fibers_of_an_r_class(drawn, data):
+    """A product that left elements of one R-class (equal a a*) reach from
+    different left fibers is graded once per R-class, not once per fiber."""
+    g, _, pairs = drawn
+    honest = graph_grading(g)
+    reached = {}
+    for a in pairs:
+        for b in pairs:
+            r = multiply_pairs(a, b)
+            if r is not ZERO_PAIR:
+                key = (r, multiply_pairs(a, star_pair(a)))
+                reached.setdefault(key, set()).add(grading_phi(a))
+    shared = sorted({r for (r, _), fibers in reached.items() if len(fibers) > 1}, key=repr)
+    assume(shared)
+    lying = _lying(honest, data.draw(st.sampled_from(shared)),
+                   data.draw(st.sampled_from(g.edge_ids)))
+    assert not check_grading(lying, pairs)["ok"]
+    _assert_scans_match_pairwise(lying, pairs)
+
+
 class CountingGraphContext(GraphContext):
-    """A graph context that counts the products it evaluates."""
+    """A graph context that counts the products its `left_products` hands over."""
 
     def __init__(self, graph):
         super().__init__(graph)
         self.products = 0
 
-    def product(self, a, b):
-        self.products += 1
-        return multiply_pairs(a, b)
+    def left_products(self, elements):
+        products = super().left_products(elements)
+
+        def counted(a):
+            found = products(a)
+            self.products += len(found)
+            return found
+
+        return counted
+
+
+def _nonzero_pairs(listed):
+    nonzero = [a for a in listed if a is not ZERO_PAIR]
+    return sum(multiply_pairs(a, b) is not ZERO_PAIR for a in nonzero for b in nonzero)
 
 
 def _two_loop_bouquet():
@@ -141,20 +218,21 @@ def test_one_scan_serves_both_reports():
     pairs = enumerate_pairs(g, 2) + [ZERO_PAIR]
     want = _reports(graph_grading(g), pairs)
     assert check_grading(grading, pairs) == want[0]
-    scanned = ctx.products
+    # one scan takes each nonzero product from the context once
+    scanned = _nonzero_pairs(pairs)
+    assert ctx.products == scanned > 0
     # an equal list, even one built anew or handed over as an iterator,
-    # reads the same scan: check_grading's own idempotent test multiplies
-    # each element by itself, and nothing else is multiplied
+    # reads the same scan and takes no products
     fibers, report = bundle_fibers(list(pairs), grading)
     assert ctx.products == scanned
     assert (list(fibers.items()), report) == want[1:]
     assert check_grading(grading, iter(pairs)) == want[0]
-    assert ctx.products == scanned + len(pairs) - 1
+    assert ctx.products == scanned
     # a changed list, of another length or the same one, scans again
     for changed in (pairs[1:] + pairs[:1], pairs[:-2]):
         before = ctx.products
         assert _reports(grading, changed) == _reports(graph_grading(g), changed)
-        assert ctx.products > before + len(changed)
+        assert ctx.products == before + _nonzero_pairs(changed)
 
 
 def test_returned_fibers_do_not_reach_the_scan():

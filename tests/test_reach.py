@@ -1,8 +1,13 @@
 """Reach points: sizes past tier 1, run with `pytest -m reach`.
 
-I_6, the symmetric inverse monoid on six points, has 13327 elements, so its
-table holds 177.6 million int16 cells (339 MiB). Closure, validation and
-the maximum group image run in a fresh process, so its peak RSS is theirs.
+Each point runs in a fresh process, so the peak RSS it reports is its own.
+
+- I_6, the symmetric inverse monoid on six points, has 13327 elements, so
+  its table holds 177.6 million int16 cells (339 MiB). Closure, validation
+  and the maximum group image run.
+- `grading-check --input bouquet2 --length 5` scans the 2298051 nonzero
+  pairs of its 3969 path pairs. Its memos live for one R-class; one kept
+  for the whole scan reached 129.7 MiB.
 """
 
 import json
@@ -33,12 +38,35 @@ print(json.dumps({"seconds": time.perf_counter() - start, "n": S.n, "order": G.n
 """
 
 
-def test_i6_closure_validation_and_group_image():
+BOUQUET2_L5 = """
+import contextlib, io, json, resource, time
+from invsemi.cli import main
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["grading-check", "--input", "bouquet2", "--length", "5"])
+print(json.dumps({"seconds": time.perf_counter() - start, "code": code,
+                  "report": json.loads(out.getvalue()),
+                  "peak_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def _fresh(code, timeout):
     src = os.path.dirname(os.path.dirname(os.path.abspath(invsemi.__file__)))
-    done = subprocess.run([sys.executable, "-c", I6], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
     assert done.returncode == 0, done.stderr
-    got = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_i6_closure_validation_and_group_image():
+    got = _fresh(I6, 120)
     assert (got["n"], got["order"], got["list_view"]) == (13327, 1, False)
     assert got["zero"] is not None
     assert got["seconds"] < 5 and got["peak_mib"] < 1024, got
+
+
+def test_bouquet2_grading_check_at_length_five():
+    got = _fresh(BOUQUET2_L5, 60)
+    assert got["code"] == 0 and got["report"]["ok"]
+    assert got["report"]["checked"] == 3969 ** 2
+    assert got["seconds"] < 15 and got["peak_mib"] < 64, got
